@@ -48,11 +48,11 @@ ARTIFACTS = {
             ("schemes.*.epochs_per_s", "higher"),
             ("schemes.*.decide_ms.mean", "lower"),
             ("schemes.*.decide_ms.max", "lower"),
-            ("batched.batched_epochs_per_s", "higher"),
-            ("batched.scalar_epochs_per_s", "higher"),
-            ("batched.speedup", "higher"),
+            ("pooled.pooled_wall_s.median", "lower"),
+            ("pooled.serial_wall_s.median", "lower"),
+            ("pooled.speedup.median", "higher"),
         ],
-        "context": ["n_nodes", "n_epochs", "epoch_seconds", "batched.workers"],
+        "context": ["n_nodes", "n_epochs", "epoch_seconds", "pooled.workers"],
     },
     "BENCH_chaos.json": {
         "metrics": [

@@ -17,6 +17,7 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.cluster.simulator import ClusterSimulator
@@ -35,30 +36,28 @@ EPOCH_SECONDS = 8.0
 #: Scale of the fast BENCH_cluster run — small enough for tier-1 CI.
 #: Epochs are long enough (simulated seconds -> control intervals) that
 #: per-node-epoch compute dominates the pool's per-spec IPC, so the
-#: batched path's parallel speedup is visible rather than drowned in
-#: dispatch overhead.
+#: pool's parallel speedup is visible rather than drowned in dispatch
+#: overhead.
 BENCH_NODES = 3
 BENCH_EPOCHS = 4
 BENCH_EPOCH_SECONDS = 6.0
 BENCH_BROKERS = ("static", "harvest", "trade", "bo")
+#: Worker processes in the warm pool, and serial/pooled sample pairs.
+POOL_WORKERS = 2
+POOLED_SAMPLES = 5
 
 
 def _bench_path():
     return os.environ.get("BENCH_CLUSTER_JSON", "BENCH_cluster.json")
 
 
-def _bench_workers():
-    return max(2, min(BENCH_NODES, os.cpu_count() or 1))
-
-
-def _timed_cluster_run(trace, catalog, epoch_config, broker=None,
-                       engine=None, speculate=False):
+def _timed_cluster_run(trace, catalog, epoch_config, broker=None, engine=None):
     """One measured cluster run; returns (result, wall_s, collector)."""
     collector = TraceCollector()
     simulator = ClusterSimulator(
         trace, n_nodes=BENCH_NODES, catalog=catalog,
         epoch_config=epoch_config, policy="SATORI", seed=0,
-        broker=broker, engine=engine, speculate=speculate,
+        broker=broker, engine=engine,
     )
     started = time.perf_counter()
     with use_collector(collector):
@@ -66,6 +65,12 @@ def _timed_cluster_run(trace, catalog, epoch_config, broker=None,
     elapsed = time.perf_counter() - started
     assert elapsed > 0.0
     return result, elapsed, collector
+
+
+def _spread(values):
+    """Median and interquartile range of a sample, rounded for the artifact."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(median), 4), "iqr": round(float(q3 - q1), 4)}
 
 
 def test_bench_cluster_artifact():
@@ -76,11 +81,12 @@ def test_bench_cluster_artifact():
     are environment-dependent; the assertions only gate sanity (ran,
     positive rates, latencies recorded), never absolute speed.
 
-    The broker schemes run through the batched data path (worker pool
-    with blob spec transport + cross-epoch speculation); the
-    ``batched`` section reruns one configuration through the scalar
-    path (serial engine, no speculation) so every artifact carries its
-    own batch-vs-scalar speedup — the number CI surfaces in the job
+    The broker schemes run on a warm worker pool. The ``pooled``
+    section times one configuration on the serial in-process engine
+    and on that warm pool, alternating the two over
+    ``POOLED_SAMPLES`` pairs (the leg that goes first swaps each
+    pair), and reports the median and IQR of each side's wall time and
+    of the per-pair speedup — the numbers CI surfaces in the job
     summary and ``diff_bench.py`` tracks across runs.
     """
     catalog = experiment_catalog()
@@ -91,16 +97,14 @@ def test_bench_cluster_artifact():
     epoch_config = RunConfig(duration_s=BENCH_EPOCH_SECONDS)
 
     schemes = {}
+    serial_s, pooled_s = [], []
     # trace_workers=False: the bench only reads parent-side decide
     # spans; shipping every worker-interior span across the pool pipe
     # would swamp the measurement.
-    with ExecutionEngine(
-        workers=_bench_workers(), spec_transport="blob", trace_workers=False
-    ) as engine:
+    with ExecutionEngine(workers=POOL_WORKERS, trace_workers=False) as engine:
         for broker in BENCH_BROKERS:
             result, elapsed, collector = _timed_cluster_run(
-                trace, catalog, epoch_config, broker=broker,
-                engine=engine, speculate=True,
+                trace, catalog, epoch_config, broker=broker, engine=engine,
             )
             decides = collector.spans_named("broker.decide")
             latencies_ms = sorted(e.duration_ns / 1e6 for e in decides)
@@ -118,30 +122,28 @@ def test_bench_cluster_artifact():
             }
             assert schemes[broker]["epochs_per_s"] > 0.0
 
-        # Paired batch-vs-scalar comparison on one configuration: the
-        # batched leg reuses the warm pool, the scalar leg is the
-        # serial in-process engine the bench used before this path
-        # existed. Results are bit-identical (tests/test_batched_eval
-        # pins that); only the wall clock differs.
-        batched_result, batched_s, batched_obs = _timed_cluster_run(
-            trace, catalog, epoch_config, engine=engine, speculate=True,
-        )
-    scalar_result, scalar_s, _ = _timed_cluster_run(trace, catalog, epoch_config)
-    assert scalar_result.mean_speedup == batched_result.mean_speedup
-    assert scalar_result.fairness == batched_result.fairness
-    counters = batched_obs.metrics.counters()
-    batched = {
-        "workers": _bench_workers(),
-        "scalar_wall_s": round(scalar_s, 4),
-        "batched_wall_s": round(batched_s, 4),
-        "scalar_epochs_per_s": round(BENCH_EPOCHS / scalar_s, 3),
-        "batched_epochs_per_s": round(BENCH_EPOCHS / batched_s, 3),
-        "speedup": round(scalar_s / batched_s, 3),
-        "speculative_submitted": int(counters.get("cluster.speculative_submitted", 0)),
-        "speculative_hits": int(counters.get("cluster.speculative_hits", 0)),
-        "speculative_cancelled": int(counters.get("cluster.speculative_cancelled", 0)),
-        "blob_cache_hits": int(counters.get("engine.blob_cache_hits", 0)),
-        "blob_cache_misses": int(counters.get("engine.blob_cache_misses", 0)),
+        # Serial vs warm pool on one configuration. Results are
+        # bit-identical (tests/test_batched_eval pins that); only the
+        # wall clock differs.
+        for sample in range(POOLED_SAMPLES):
+            legs = [(None, serial_s), (engine, pooled_s)]
+            if sample % 2:
+                legs.reverse()
+            outcomes = []
+            for leg_engine, times in legs:
+                result, elapsed, _ = _timed_cluster_run(
+                    trace, catalog, epoch_config, engine=leg_engine,
+                )
+                times.append(elapsed)
+                outcomes.append(result)
+            assert outcomes[0].mean_speedup == outcomes[1].mean_speedup
+            assert outcomes[0].fairness == outcomes[1].fairness
+    pooled = {
+        "workers": POOL_WORKERS,
+        "samples": POOLED_SAMPLES,
+        "serial_wall_s": _spread(serial_s),
+        "pooled_wall_s": _spread(pooled_s),
+        "speedup": _spread([s / p for s, p in zip(serial_s, pooled_s)]),
     }
 
     report = {
@@ -152,7 +154,7 @@ def test_bench_cluster_artifact():
         "policy": "SATORI",
         "n_jobs": len(trace),
         "schemes": schemes,
-        "batched": batched,
+        "pooled": pooled,
     }
     with open(_bench_path(), "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
@@ -168,9 +170,9 @@ def test_bench_cluster_artifact():
         precision=3,
     ))
     print(
-        f"batched vs scalar: {batched['batched_epochs_per_s']} vs "
-        f"{batched['scalar_epochs_per_s']} epochs/s "
-        f"({batched['speedup']}x, {batched['workers']} workers)"
+        f"pooled vs serial wall s (median, IQR over {POOLED_SAMPLES} pairs): "
+        f"{pooled['pooled_wall_s']} vs {pooled['serial_wall_s']}; "
+        f"speedup {pooled['speedup']} ({POOL_WORKERS} workers)"
     )
 
 

@@ -20,6 +20,9 @@ Two fleet-level wrinkles the node-level loop does not have:
   slackest nodes, preserving per-resource totals — rather than
   rejected, so the optimizer still learns from (the feasible
   projection of) every suggestion.
+* **Nodes come and go.** The meta-space is built for the first live
+  node set it sees. While a node is down the live set differs, and the
+  broker leaves budgets alone and records no sample until it rejoins.
 * **Each sample costs an epoch.** The broker starts suggesting only
   after ``warmup_epochs`` observed samples; before that it leaves
   budgets alone, mirroring SATORI's initial-set phase.
@@ -92,10 +95,6 @@ class BudgetOptimizerBroker(GlobalBroker):
 
     def _ensure_space(self, views: Sequence[BrokerView]) -> None:
         if self._space is not None:
-            if len(views) != len(self._node_ids):
-                raise ClusterError(
-                    f"broker built for {len(self._node_ids)} nodes, saw {len(views)}"
-                )
             return
         self._node_ids = tuple(view.node_id for view in views)
         self._space = ConfigurationSpace(
@@ -138,6 +137,12 @@ class BudgetOptimizerBroker(GlobalBroker):
 
     def decide(self, epoch: int, views: Sequence[BrokerView]) -> Dict[int, ResourceBudget]:
         self._ensure_space(views)
+        if tuple(view.node_id for view in views) != self._node_ids:
+            # A node is down (or the live set otherwise differs from the
+            # one the meta-space was built for): its vectors are not
+            # points of this space. Hold budgets and learn nothing until
+            # the original fleet is back.
+            return self._unchanged(views)
         self._epochs_seen += 1
         assert self._records is not None and self._bo is not None and self._space is not None
 

@@ -18,10 +18,8 @@ See DESIGN.md ("Execution engine") for the determinism and cache
 layout contracts.
 """
 
-from repro.engine.blobs import BlobStore, SpecRef
 from repro.engine.cache import CACHE_SCHEMA_VERSION, RunCache, default_cache_salt
 from repro.engine.engine import (
-    EngineFuture,
     EngineStats,
     ExecutionEngine,
     RunError,
@@ -30,15 +28,12 @@ from repro.engine.engine import (
 from repro.engine.spec import RunSpec, derive_seed
 
 __all__ = [
-    "BlobStore",
     "CACHE_SCHEMA_VERSION",
-    "EngineFuture",
     "EngineStats",
     "ExecutionEngine",
     "RunCache",
     "RunError",
     "RunSpec",
-    "SpecRef",
     "default_cache_salt",
     "derive_seed",
     "execute_run",

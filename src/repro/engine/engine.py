@@ -1,26 +1,15 @@
-"""The execution engine: incremental fan-out with deterministic results.
+"""The execution engine: batch fan-out with deterministic results.
 
-The engine exposes two surfaces over one internal scheduler:
+:meth:`ExecutionEngine.run` takes a batch of :class:`RunSpec` jobs and
+returns their :class:`RunResult` objects in submission order, executing
+them in-process or on a worker-process pool. The pool is persistent —
+created lazily on first parallel work and reused across batches.
+:meth:`ExecutionEngine.close` (or the context manager form) releases
+it; an abandoned straggler retires the pool so a stuck worker cannot
+poison later batches.
 
-* the historical blocking batch call — :meth:`ExecutionEngine.run`
-  takes a batch of :class:`RunSpec` jobs and returns their
-  :class:`RunResult` objects in submission order;
-* a non-blocking futures surface — :meth:`ExecutionEngine.submit`
-  returns an :class:`EngineFuture` immediately, :meth:`ExecutionEngine.poll`
-  makes bounded progress without blocking, and
-  :meth:`ExecutionEngine.as_completed` yields futures as their specs
-  finish. Long-lived callers (the ``repro.serve`` control plane, the
-  cluster's speculative batching) interleave submission with other work
-  instead of parking on a whole batch.
-
-Worker processes live in one persistent pool per engine, created
-lazily on first parallel work and reused across batches — per-batch
-pool spin-up is gone. :meth:`ExecutionEngine.close` (or the context
-manager form) releases the pool; an abandoned straggler retires the
-pool so a stuck worker cannot poison later batches.
-
-Both surfaces guarantee *bit-identical* results regardless of worker
-count, submission order, or completion order, because
+Results are *bit-identical* regardless of worker count, submission
+order, or completion order, because
 
 * every RNG stream a run consumes is derived from the spec's content
   digest (:meth:`RunSpec.seed_for`), never from shared generators or
@@ -41,9 +30,8 @@ from __future__ import annotations
 import concurrent.futures
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.blobs import BlobStore, SpecRef
 from repro.engine.cache import RunCache
 from repro.engine.spec import RunSpec, derive_seed
 from repro.errors import EngineError
@@ -114,23 +102,6 @@ def _execute_run_traced(
     return payload, time.perf_counter() - started, events
 
 
-def _execute_run_traced_blob(
-    ref: SpecRef, collect: bool = False
-) -> Tuple[dict, float, Optional[List[dict]], bool]:
-    """Worker entry point for digest-addressed spec transport.
-
-    The submission carries a :class:`~repro.engine.blobs.SpecRef`
-    instead of a pickled spec; the worker hydrates the mix from its
-    per-process blob cache (at most one disk read + unpickle per mix
-    per worker) and runs the rebuilt spec exactly as the pickle
-    transport would. The extra tuple element reports whether the mix
-    came from the cache, for the parent's hit/miss counters.
-    """
-    spec, blob_hit = ref.hydrate()
-    payload, duration_s, events = _execute_run_traced(spec, collect)
-    return payload, duration_s, events, blob_hit
-
-
 @dataclass(frozen=True)
 class RunError:
     """A spec that could not be executed (partial-batch bookkeeping).
@@ -156,10 +127,10 @@ class EngineStats:
     """Counters for one engine's lifetime (all ``run`` calls summed).
 
     Attributes:
-        submitted: specs passed to ``run``/``submit`` (including
-            duplicates).
+        submitted: specs passed to ``run`` (including duplicates).
         executed: specs actually run via :func:`execute_run`.
-        deduplicated: duplicate specs coalesced onto an in-flight twin.
+        deduplicated: duplicate specs coalesced onto a twin in the same
+            batch.
         cache_hits / cache_misses: disk-cache lookups (zero without a
             cache attached).
         batches: number of ``run`` calls.
@@ -206,83 +177,19 @@ class EngineStats:
         return text
 
 
-# Slot lifecycle: QUEUED -> RUNNING -> (DONE | RETRY_WAIT -> QUEUED -> ...)
-_QUEUED = "queued"
-_RUNNING = "running"
-_RETRY_WAIT = "retry_wait"
-_DONE = "done"
-
-
 class _Slot:
-    """One unique in-flight spec: shared by every future that maps to it."""
+    """One unique spec of a batch: shared by every position that maps to it.
 
-    __slots__ = (
-        "spec", "state", "outcome", "attempts", "error",
-        "pool_future", "retry_at", "retry_delay", "lane",
-    )
+    ``outcome`` stays ``None`` while the spec still has an execution
+    round ahead of it (queued or awaiting retry).
+    """
+
+    __slots__ = ("spec", "outcome", "attempts")
 
     def __init__(self, spec: RunSpec):
         self.spec = spec
-        self.state = _QUEUED
         self.outcome: Optional[Union[RunResult, RunError]] = None
         self.attempts = 0
-        self.error: Optional[str] = None
-        self.pool_future: Optional[concurrent.futures.Future] = None
-        self.retry_at: Optional[float] = None
-        self.retry_delay = 0.0
-        self.lane = 0
-
-    @property
-    def done(self) -> bool:
-        return self.state == _DONE
-
-    def resolve(self, outcome: Union[RunResult, RunError]) -> None:
-        self.outcome = outcome
-        self.state = _DONE
-        self.pool_future = None
-
-
-class EngineFuture:
-    """Handle to one submitted spec.
-
-    Futures for equal specs share one underlying execution (and one
-    outcome object); a future stays valid after the engine has moved on
-    to other work.
-    """
-
-    __slots__ = ("_engine", "_slot")
-
-    def __init__(self, engine: "ExecutionEngine", slot: _Slot):
-        self._engine = engine
-        self._slot = slot
-
-    @property
-    def spec(self) -> RunSpec:
-        return self._slot.spec
-
-    @property
-    def done(self) -> bool:
-        return self._slot.done
-
-    def peek(self) -> Optional[Union[RunResult, RunError]]:
-        """The outcome if resolved, else ``None`` (never blocks)."""
-        return self._slot.outcome
-
-    def outcome(self, timeout_s: Optional[float] = None) -> Union[RunResult, RunError]:
-        """Block (driving the engine) until resolved; never raises for
-        a failed spec — the :class:`RunError` is returned instead."""
-        self._engine._wait_for(self._slot, timeout_s)
-        return self._slot.outcome
-
-    def result(self, timeout_s: Optional[float] = None) -> RunResult:
-        """Block until resolved; raise :class:`~repro.errors.EngineError`
-        if the spec exhausted its retries."""
-        value = self.outcome(timeout_s)
-        if isinstance(value, RunError):
-            raise EngineError(
-                f"{value.spec!r} failed after {value.attempts} attempt(s): {value.error}"
-            )
-        return value
 
 
 class ExecutionEngine:
@@ -301,8 +208,7 @@ class ExecutionEngine:
             of :meth:`run`, applied per retry round; specs still
             running when it expires are recorded as straggler failures
             (and retried if ``retries`` allows). ``None`` waits
-            indefinitely; the serial path and the non-blocking futures
-            surface ignore it.
+            indefinitely; the serial path ignores it.
         spec_timeout_s: per-spec deadline in seconds for the
             worker-pool path of :meth:`run`, measured from when the
             spec is first observed *running* (queue time doesn't
@@ -317,13 +223,6 @@ class ExecutionEngine:
             drawn deterministically from the retried spec's digest so
             reruns sleep identically (``0.25`` stretches delays by up
             to 25%).
-        spec_transport: how specs cross the pool boundary. ``"blob"``
-            (the default) ships a light :class:`~repro.engine.blobs.SpecRef`
-            and spools each distinct mix once into a content-addressed
-            :class:`~repro.engine.blobs.BlobStore`, so workers stop
-            unpickling identical workload models per submission;
-            ``"pickle"`` is the historical whole-spec pickle. Results
-            are bit-identical either way — only transport cost changes.
         trace_workers: when the active collector is enabled, workers
             normally record their spans locally and ship them back for
             replay into the parent's collector. Set ``False`` to skip
@@ -350,7 +249,6 @@ class ExecutionEngine:
         spec_timeout_s: Optional[float] = None,
         backoff_base_s: float = 0.0,
         backoff_jitter: float = 0.0,
-        spec_transport: str = "blob",
         trace_workers: bool = True,
     ):
         if workers < 1:
@@ -367,10 +265,6 @@ class ExecutionEngine:
             raise EngineError(f"backoff_base_s must be >= 0, got {backoff_base_s}")
         if backoff_jitter < 0:
             raise EngineError(f"backoff_jitter must be >= 0, got {backoff_jitter}")
-        if spec_transport not in ("blob", "pickle"):
-            raise EngineError(
-                f"spec_transport must be 'blob' or 'pickle', got {spec_transport!r}"
-            )
         self._workers = int(workers)
         self._cache = cache
         self._retries = int(retries)
@@ -379,13 +273,8 @@ class ExecutionEngine:
         self._backoff_base_s = float(backoff_base_s)
         self._backoff_jitter = float(backoff_jitter)
         self._stats = EngineStats()
-        self._spec_transport = spec_transport
         self._trace_workers = bool(trace_workers)
-        self._slots: Dict[RunSpec, _Slot] = {}
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._blobs: Optional[BlobStore] = None
-        self._inflight: Dict[concurrent.futures.Future, _Slot] = {}
-        self._lane_counter = 0
 
     @property
     def workers(self) -> int:
@@ -411,11 +300,6 @@ class ExecutionEngine:
     def stats(self) -> EngineStats:
         return self._stats
 
-    @property
-    def pending(self) -> int:
-        """Number of submitted specs not yet resolved."""
-        return sum(1 for slot in self._slots.values() if not slot.done)
-
     # -- lifecycle --------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
@@ -425,12 +309,8 @@ class ExecutionEngine:
         simply creates a fresh pool.
         """
         pool, self._pool = self._pool, None
-        self._inflight.clear()
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=True)
-        blobs, self._blobs = self._blobs, None
-        if blobs is not None:
-            blobs.close()
 
     def __enter__(self) -> "ExecutionEngine":
         return self
@@ -444,7 +324,7 @@ class ExecutionEngine:
         except Exception:
             pass
 
-    # -- blocking batch surface -------------------------------------------
+    # -- batch execution --------------------------------------------------
 
     def run_one(self, spec: RunSpec) -> RunResult:
         """Convenience wrapper: run a single spec."""
@@ -457,12 +337,8 @@ class ExecutionEngine:
 
         Identical specs (equal content, hence equal digest) execute at
         most once per batch; with a cache attached, at most once ever
-        per code version.
-
-        This is a thin wrapper over the futures surface: every spec is
-        :meth:`submit`-ted, then the engine is driven to completion
-        with the historical round-synchronized retry/backoff and
-        straggler-deadline semantics.
+        per code version. Failed specs are retried in synchronized
+        rounds (see :meth:`_drive`).
 
         Args:
             specs: the batch.
@@ -479,145 +355,45 @@ class ExecutionEngine:
         obs = active_collector()
 
         with obs.span("engine_batch", "engine"):
-            slots = [self._submit_slot(spec, obs) for spec in specs]
-            # First-seen order of unique slots keeps scheduling
+            # First-seen order of unique specs keeps scheduling
             # deterministic (dict preserves insertion order).
-            batch: Dict[RunSpec, _Slot] = {}
-            for slot in slots:
-                batch.setdefault(slot.spec, slot)
-            try:
-                self._drive(list(batch.values()), obs)
-                results: List[Union[RunResult, RunError]] = []
-                for slot in slots:
-                    value = slot.outcome
-                    if isinstance(value, RunError) and on_error == "raise":
-                        raise EngineError(
-                            f"{value.spec!r} failed after {value.attempts} "
-                            f"attempt(s): {value.error}"
-                        )
-                    results.append(value)
-            finally:
-                self._purge_resolved()
+            slots: Dict[RunSpec, _Slot] = {}
+            for spec in specs:
+                self._stats.submitted += 1
+                if spec in slots:
+                    self._stats.deduplicated += 1
+                    obs.metrics.counter("engine.deduplicated").inc()
+                    continue
+                slots[spec] = self._new_slot(spec, obs)
+            self._drive(list(slots.values()), obs)
+            results: List[Union[RunResult, RunError]] = []
+            for spec in specs:
+                value = slots[spec].outcome
+                if isinstance(value, RunError) and on_error == "raise":
+                    raise EngineError(
+                        f"{value.spec!r} failed after {value.attempts} "
+                        f"attempt(s): {value.error}"
+                    )
+                results.append(value)
         return results
-
-    # -- futures surface ---------------------------------------------------
-
-    def submit(self, spec: RunSpec) -> EngineFuture:
-        """Register one spec for execution and return its future.
-
-        Never blocks: a cache hit resolves the future immediately, a
-        spec equal to one already in flight coalesces onto it, and
-        anything else is queued. Queued work proceeds during
-        :meth:`poll`, :meth:`as_completed`, :meth:`EngineFuture.result`,
-        or a later :meth:`run` that includes the same spec.
-        """
-        return EngineFuture(self, self._submit_slot(spec, active_collector()))
-
-    def cancel(self, future: EngineFuture) -> bool:
-        """Withdraw a submitted spec that has not started executing.
-
-        Returns ``True`` if the spec was still queued: its slot is
-        removed from the dedup map (a later equal submit starts fresh)
-        and the future resolves to a :class:`RunError` — ``result()``
-        raises, ``outcome()`` returns the error. Returns ``False`` for
-        specs already running, resolved, or in retry backoff: started
-        work is never abandoned mid-flight, so a failed cancel simply
-        means the result will arrive.
-
-        Futures for equal specs share one execution, so cancelling one
-        cancels them all — callers juggling speculative work (the
-        cluster's cross-epoch batching) should track one future per
-        spec and cancel only futures they own.
-        """
-        slot = future._slot
-        if slot.state != _QUEUED:
-            return False
-        existing = self._slots.get(slot.spec)
-        if existing is slot:
-            del self._slots[slot.spec]
-        slot.resolve(
-            RunError(spec=slot.spec, error="cancelled before execution", attempts=0)
-        )
-        active_collector().metrics.counter("engine.cancelled").inc()
-        return True
-
-    def poll(self, timeout_s: float = 0.0) -> int:
-        """Make bounded progress and return the number of unresolved specs.
-
-        Harvests finished worker results, launches queued specs
-        (serial engines execute at most one spec per call, so callers
-        can interleave), and re-queues retries whose backoff has
-        elapsed. ``timeout_s`` bounds how long the call may block
-        waiting on worker results (0 = never block).
-
-        The futures surface applies retry backoff as a deadline rather
-        than a sleep and does not enforce ``timeout_s``/
-        ``spec_timeout_s`` deadlines — long-lived callers own their
-        own pacing; the blocking :meth:`run` keeps the historical
-        deadline semantics.
-        """
-        self._pump(active_collector(), timeout_s)
-        self._purge_resolved()
-        return self.pending
-
-    def as_completed(
-        self, futures: Iterable[EngineFuture], timeout_s: Optional[float] = None
-    ) -> Iterator[EngineFuture]:
-        """Yield ``futures`` as their specs resolve (completion order).
-
-        Raises :class:`~repro.errors.EngineError` if ``timeout_s``
-        elapses with futures still unresolved.
-        """
-        remaining = list(futures)
-        deadline = None if timeout_s is None else time.perf_counter() + timeout_s
-        obs = active_collector()
-        while remaining:
-            ready = [future for future in remaining if future.done]
-            if ready:
-                for future in ready:
-                    remaining.remove(future)
-                    yield future
-                continue
-            if deadline is not None and time.perf_counter() >= deadline:
-                raise EngineError(
-                    f"as_completed timed out with {len(remaining)} future(s) unresolved"
-                )
-            self._pump(obs, 0.05)
-        self._purge_resolved()
 
     # -- internals -------------------------------------------------------
 
-    def _submit_slot(self, spec: RunSpec, obs) -> _Slot:
-        self._stats.submitted += 1
-        slot = self._slots.get(spec)
-        if slot is not None:
-            self._stats.deduplicated += 1
-            obs.metrics.counter("engine.deduplicated").inc()
-            return slot
+    def _new_slot(self, spec: RunSpec, obs) -> _Slot:
+        """A slot for one unique spec, resolved on the spot by a cache hit."""
         slot = _Slot(spec)
-        self._slots[spec] = slot
-        cached = self._cache.get(spec) if self._cache is not None else None
+        if self._cache is None:
+            return slot
+        cached = self._cache.get(spec)
         if cached is not None:
             self._stats.cache_hits += 1
             obs.metrics.counter("engine.cache_hits").inc()
             obs.event("cache_hit", "engine")
-            slot.resolve(cached)
-        elif self._cache is not None:
+            slot.outcome = cached
+        else:
             self._stats.cache_misses += 1
             obs.metrics.counter("engine.cache_misses").inc()
         return slot
-
-    def _purge_resolved(self) -> None:
-        """Drop resolved slots so the dedup window matches one batch.
-
-        Futures keep their slot references, so purging never
-        invalidates a handle; it only means a *later* equal submit
-        re-consults the cache instead of aliasing a finished run.
-        """
-        for spec in [spec for spec, slot in self._slots.items() if slot.done]:
-            del self._slots[spec]
-        if not self._slots and not self._inflight:
-            self._lane_counter = 0
 
     def _store(self, spec: RunSpec, result: RunResult) -> None:
         """Cache a fresh result; count the write that disables the cache."""
@@ -634,19 +410,16 @@ class ExecutionEngine:
         self._stats.executed += 1
         obs.metrics.counter("engine.executed").inc()
         self._store(slot.spec, result)
-        slot.resolve(result)
+        slot.outcome = result
 
     def _note_failure(self, slot: _Slot, error: str, obs) -> None:
+        """Record a failed attempt; resolve to a RunError once retries run out."""
         slot.attempts += 1
-        slot.error = error
-        slot.pool_future = None
         if slot.attempts <= self._retries:
-            slot.state = _RETRY_WAIT
-            slot.retry_at = None
             return
         self._stats.failed += 1
         obs.metrics.counter("engine.failed").inc()
-        slot.resolve(RunError(spec=slot.spec, error=str(error), attempts=slot.attempts))
+        slot.outcome = RunError(spec=slot.spec, error=str(error), attempts=slot.attempts)
 
     def _retry_delay(self, spec: RunSpec, round_number: int) -> float:
         """Backoff before retry round ``round_number`` (exponential + jitter).
@@ -670,23 +443,9 @@ class ExecutionEngine:
             )
         return self._pool
 
-    def _pool_submit(
-        self, pool: concurrent.futures.ProcessPoolExecutor, slot: _Slot, obs
-    ) -> concurrent.futures.Future:
-        """Submit one slot to the pool via the configured transport."""
-        collect = obs.enabled and self._trace_workers
-        if self._spec_transport == "blob":
-            if self._blobs is None:
-                self._blobs = BlobStore()
-            blob_path = self._blobs.put_mix(slot.spec)
-            ref = SpecRef.from_spec(slot.spec, blob_path)
-            return pool.submit(_execute_run_traced_blob, ref, collect)
-        return pool.submit(_execute_run_traced, slot.spec, collect)
-
     def _retire_pool(self) -> None:
         """Abandon the pool without waiting (a straggler may be stuck)."""
         pool, self._pool = self._pool, None
-        self._inflight.clear()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
@@ -698,17 +457,10 @@ class ExecutionEngine:
         utilization gauge), ``None`` on failure.
         """
         try:
-            outcome = future.result()
+            payload, duration_s, events = future.result()
         except Exception as error:  # noqa: BLE001 - reported per spec
             self._note_failure(slot, f"{type(error).__name__}: {error}", obs)
             return None
-        if len(outcome) == 4:  # blob transport reports its cache fate
-            payload, duration_s, events, blob_hit = outcome
-            obs.metrics.counter(
-                "engine.blob_cache_hits" if blob_hit else "engine.blob_cache_misses"
-            ).inc()
-        else:
-            payload, duration_s, events = outcome
         obs.metrics.histogram("engine.run_seconds").observe(duration_s)
         obs.event("run_spec", "engine", duration_s=duration_s)
         if events:
@@ -724,8 +476,7 @@ class ExecutionEngine:
         return duration_s
 
     def _execute_serial(self, slot: _Slot, obs) -> None:
-        """Run one spec in-process (the serial path of both surfaces)."""
-        slot.state = _RUNNING
+        """Run one spec in-process."""
         started = time.perf_counter()
         try:
             with obs.span("run_spec", "engine"):
@@ -738,46 +489,33 @@ class ExecutionEngine:
             time.perf_counter() - started
         )
 
-    # -- blocking drive (run()) -------------------------------------------
-
     def _drive(self, slots: List[_Slot], obs) -> None:
         """Drive ``slots`` to resolution with round-synchronized retries.
 
-        Each round executes every queued slot (serially or on the
+        Each round executes every unresolved slot (serially or on the
         pool); failures eligible for retry wait for the *whole* round,
         then back off once — via ``time.sleep``, announced as a
-        ``retry_backoff`` event — and re-queue together. This
-        reproduces the historical retry schedule exactly.
+        ``retry_backoff`` event — and run again together.
         """
-        while True:
-            round_slots = [slot for slot in slots if slot.state == _QUEUED]
-            if round_slots:
-                if self._workers == 1 or len(round_slots) == 1:
-                    for slot in round_slots:
-                        self._execute_serial(slot, obs)
-                else:
-                    self._pool_round(round_slots, obs)
-                continue
-            retry = [slot for slot in slots if slot.state == _RETRY_WAIT]
-            if not retry:
-                if any(slot.state == _RUNNING for slot in slots):
-                    # In flight via the futures surface (submitted
-                    # before this run() call): finish them there.
-                    self._pump(obs, 0.05)
-                    continue
+        pending = [slot for slot in slots if slot.outcome is None]
+        while pending:
+            if self._workers == 1 or len(pending) == 1:
+                for slot in pending:
+                    self._execute_serial(slot, obs)
+            else:
+                self._pool_round(pending, obs)
+            pending = [slot for slot in pending if slot.outcome is None]
+            if not pending:
                 return
-            self._stats.retried += len(retry)
-            round_number = retry[0].attempts
-            delay = self._retry_delay(retry[0].spec, round_number)
+            self._stats.retried += len(pending)
+            round_number = pending[0].attempts
+            delay = self._retry_delay(pending[0].spec, round_number)
             if delay > 0:
                 obs.event(
                     "retry_backoff", "engine",
-                    round=round_number, delay_s=delay, specs=len(retry),
+                    round=round_number, delay_s=delay, specs=len(pending),
                 )
                 time.sleep(delay)
-            for slot in retry:
-                slot.state = _QUEUED
-                slot.retry_at = None
 
     def _pool_round(self, round_slots: List[_Slot], obs) -> None:
         """One parallel round on the persistent pool, with deadlines."""
@@ -785,11 +523,12 @@ class ExecutionEngine:
         round_started = time.perf_counter()
         busy_seconds = 0.0
         pool = self._ensure_pool()
+        collect = obs.enabled and self._trace_workers
         abandoned = False
         futures: Dict[concurrent.futures.Future, Tuple[int, _Slot]] = {}
         for index, slot in enumerate(round_slots):
-            slot.state = _RUNNING
-            futures[self._pool_submit(pool, slot, obs)] = (index, slot)
+            future = pool.submit(_execute_run_traced, slot.spec, collect)
+            futures[future] = (index, slot)
         remaining = set(futures)
         batch_deadline = (
             None if self._timeout_s is None else round_started + self._timeout_s
@@ -857,69 +596,3 @@ class ExecutionEngine:
             obs.metrics.gauge("engine.worker_utilization").set(
                 busy_seconds / (max_workers * wall)
             )
-
-    # -- non-blocking pump (futures surface) -------------------------------
-
-    def _pump(self, obs, timeout_s: float) -> None:
-        """One scheduling pass for the futures surface.
-
-        Launches queued slots, harvests finished workers (waiting up
-        to ``timeout_s``), and re-queues elapsed retries. Serial
-        engines execute at most one queued spec per pass so callers
-        can interleave work between polls.
-        """
-        now = time.perf_counter()
-        for slot in self._slots.values():
-            if slot.state != _RETRY_WAIT:
-                continue
-            if slot.retry_at is None:
-                # Freshly failed: schedule its backoff deadline.
-                slot.retry_delay = self._retry_delay(slot.spec, slot.attempts)
-                slot.retry_at = now + slot.retry_delay
-                if slot.retry_delay > 0:
-                    obs.event(
-                        "retry_backoff", "engine",
-                        round=slot.attempts, delay_s=slot.retry_delay, specs=1,
-                    )
-            if now >= slot.retry_at:
-                self._stats.retried += 1
-                slot.state = _QUEUED
-                slot.retry_at = None
-
-        queued = [slot for slot in self._slots.values() if slot.state == _QUEUED]
-        if self._workers == 1:
-            if queued:
-                self._execute_serial(queued[0], obs)
-            return
-
-        pool = self._ensure_pool() if (queued or self._inflight) else None
-        for slot in queued:
-            slot.state = _RUNNING
-            slot.lane = self._lane_counter
-            self._lane_counter += 1
-            self._inflight[self._pool_submit(pool, slot, obs)] = slot
-        if not self._inflight:
-            return
-        done, _ = concurrent.futures.wait(
-            set(self._inflight), timeout=max(0.0, timeout_s)
-        )
-        for future in done:
-            slot = self._inflight.pop(future)
-            self._harvest(future, slot, slot.lane, obs)
-
-    def _wait_for(self, slot: _Slot, timeout_s: Optional[float]) -> None:
-        """Block until ``slot`` resolves, driving the futures pump."""
-        deadline = None if timeout_s is None else time.perf_counter() + timeout_s
-        obs = active_collector()
-        while not slot.done:
-            if deadline is not None and time.perf_counter() >= deadline:
-                raise EngineError(f"timed out waiting for {slot.spec!r}")
-            if slot.state == _RETRY_WAIT and slot.retry_at is not None:
-                # Sleep out the remaining backoff (bounded by deadline).
-                pause = max(0.0, slot.retry_at - time.perf_counter())
-                if deadline is not None:
-                    pause = min(pause, max(0.0, deadline - time.perf_counter()))
-                if pause > 0:
-                    time.sleep(min(pause, 0.25))
-            self._pump(obs, 0.05)
-        self._purge_resolved()

@@ -4,9 +4,8 @@ The batched data path (DESIGN.md "Batched evaluation core") promises
 that every vectorized entry point — :class:`PhaseVector`,
 :func:`evaluate_system_batch`, :meth:`CoLocationSimulator.true_ips_batch`,
 :meth:`OracleSearch.evaluate_batch` — is *bit-identical* to a loop of
-the scalar calls it replaced, and that the digest-addressed blob
-transport and cross-epoch speculation return the same results as the
-plain pickle/blocking paths. These tests pin each pairing with exact
+the scalar calls it replaced, and that a worker-pool engine returns the
+same results as a serial one. These tests pin each pairing with exact
 (``==`` / ``np.array_equal``) comparisons, not tolerances.
 """
 
@@ -20,20 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSimulator, RecoveryConfig
-from repro.engine import ExecutionEngine, RunError, RunSpec
-from repro.engine.blobs import SpecRef, hydrate_mix
+from repro.engine import ExecutionEngine
 from repro.faults import NodeFaultPlan
 from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FaultSchedule
+from repro.experiments.comparison import comparison_specs
 from repro.experiments.runner import RunConfig, experiment_catalog
-from repro.obs import TraceCollector, use_collector
 from repro.policies.oracle import OracleSearch
 from repro.resources.space import ConfigurationSpace
 from repro.resources.types import CORES, LLC_WAYS, MEMORY_BANDWIDTH
 from repro.system.contention import evaluate_system, evaluate_system_batch
 from repro.system.simulation import CoLocationSimulator
 from repro.workloads.arrivals import poisson_trace
-from repro.workloads.mixes import mix_from_names
+from repro.workloads.mixes import mix_from_names, suite_mixes
 from repro.workloads.model import Phase, PhaseVector
 
 #: Fast methodology for engine-level paired runs.
@@ -255,111 +253,7 @@ class TestOracleBatchPairing:
         assert throughput.shape == (0,) and fairness.shape == (0,)
 
 
-# -- spec transport -------------------------------------------------------
-
-
-def make_specs(n=4, policy="Random"):
-    mixes = [mix_from_names(names) for names in (
-        ["canneal", "fluidanimate"],
-        ["streamcluster", "canneal"],
-    )]
-    return [
-        RunSpec(
-            mix=mixes[i % len(mixes)],
-            policy=policy,
-            catalog=CATALOG,
-            run_config=FAST,
-            seed=3 + i,
-        )
-        for i in range(n)
-    ]
-
-
-class TestBlobTransport:
-    def test_blob_pool_matches_pickle_pool_and_serial(self):
-        """All three transports produce identical RunResults."""
-        specs = make_specs(4)
-        with ExecutionEngine(workers=1) as engine:
-            serial = engine.run(specs)
-        with ExecutionEngine(workers=2, spec_transport="blob") as engine:
-            blob = engine.run(specs)
-        with ExecutionEngine(workers=2, spec_transport="pickle") as engine:
-            pickle_ = engine.run(specs)
-        for a, b, c in zip(serial, blob, pickle_):
-            assert a.to_dict() == b.to_dict() == c.to_dict()
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(Exception):
-            ExecutionEngine(workers=2, spec_transport="carrier-pigeon")
-
-    def test_hydrated_spec_preserves_digests(self, tmp_path):
-        spec = make_specs(1)[0]
-        blob = tmp_path / f"{spec.mix_digest}.pkl"
-        import pickle
-
-        blob.write_bytes(pickle.dumps(spec.mix))
-        ref = SpecRef.from_spec(spec, str(blob))
-        rebuilt, _hit = ref.hydrate()
-        assert rebuilt == spec
-        assert rebuilt.digest == spec.digest
-        assert rebuilt.cold_digest == spec.cold_digest
-        assert rebuilt.environment_digest == spec.environment_digest
-        assert rebuilt.mix_digest == spec.mix_digest
-
-    def test_hydrate_mix_caches_per_digest(self, tmp_path):
-        spec = make_specs(1)[0]
-        blob = tmp_path / f"{spec.mix_digest}.pkl"
-        import pickle
-
-        blob.write_bytes(pickle.dumps(spec.mix))
-        first, hit_first = hydrate_mix(str(blob), spec.mix_digest)
-        second, hit_second = hydrate_mix(str(blob), spec.mix_digest)
-        assert hit_second and second is first
-
-    def test_blob_store_counters(self):
-        """One write per distinct mix, reuses after, hits in workers."""
-        specs = make_specs(4)  # two distinct mixes, two specs each
-        collector = TraceCollector()
-        with use_collector(collector):
-            with ExecutionEngine(workers=2, spec_transport="blob") as engine:
-                engine.run(specs)
-        counters = collector.metrics.counters()
-        assert counters.get("engine.blob_store_writes") == 2
-        assert counters.get("engine.blob_store_reuses") == 2
-        hits = counters.get("engine.blob_cache_hits", 0)
-        misses = counters.get("engine.blob_cache_misses", 0)
-        assert hits + misses == len(specs)
-
-
-class TestEngineCancel:
-    def test_cancel_queued_future(self):
-        spec = make_specs(1)[0]
-        with ExecutionEngine(workers=1) as engine:
-            future = engine.submit(spec)
-            assert engine.cancel(future)
-            outcome = future.outcome()
-            assert isinstance(outcome, RunError)
-            assert "cancelled" in outcome.error
-
-    def test_cancel_resolved_future_is_noop(self):
-        spec = make_specs(1)[0]
-        with ExecutionEngine(workers=1) as engine:
-            future = engine.submit(spec)
-            result = future.result()
-            assert not engine.cancel(future)
-            assert future.result() is result
-
-    def test_resubmit_after_cancel_runs_fresh(self):
-        spec = make_specs(1)[0]
-        with ExecutionEngine(workers=1) as engine:
-            baseline = engine.run([spec])[0]
-            cancelled = engine.submit(spec)
-            engine.cancel(cancelled)
-            fresh = engine.submit(spec).result()
-        assert fresh.to_dict() == baseline.to_dict()
-
-
-# -- cluster speculation --------------------------------------------------
+# -- worker pool vs serial -----------------------------------------------
 
 
 def tiny_trace(n_epochs=3, seed=7, initial_jobs=4, rate=1.5, residency=2.0):
@@ -387,18 +281,21 @@ def run_cluster(**kwargs):
     return ClusterSimulator(**defaults).run()
 
 
-class TestClusterSpeculation:
-    def paired(self, **kwargs):
-        baseline = run_cluster(speculate=False, **kwargs)
-        speculative = run_cluster(speculate=True, **kwargs)
-        assert dataclasses.asdict(speculative) == dataclasses.asdict(baseline)
+class TestPoolMatchesSerial:
+    """A 2-worker pool returns exactly what a serial engine returns."""
 
-    def test_results_identical_plain(self):
-        self.paired()
+    def test_fig7_mix_comparison_specs(self):
+        oracle, specs = comparison_specs(
+            suite_mixes("parsec")[0], CATALOG, FAST, seed=3
+        )
+        batch = [oracle, *specs.values()]
+        serial = ExecutionEngine(workers=1).run(batch)
+        with ExecutionEngine(workers=2) as engine:
+            pooled = engine.run(batch)
+        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
 
-    def test_results_identical_under_fleet_weather(self):
-        """Speculation must stay paired with node crashes and stragglers."""
-        self.paired(
+    def test_cluster_run_with_recovery(self):
+        kwargs = dict(
             trace=tiny_trace(n_epochs=4),
             fleet_plans={
                 0: NodeFaultPlan(crash_epoch=2, crash_rejoin_epochs=1),
@@ -406,20 +303,7 @@ class TestClusterSpeculation:
             },
             recovery=RecoveryConfig(),
         )
-
-    def test_results_identical_with_broker(self):
-        self.paired(broker="harvest", recovery=RecoveryConfig())
-
-    def test_stable_membership_yields_hits(self):
-        """With no churn, every epoch after the first is predicted."""
-        trace = tiny_trace(n_epochs=4, rate=0.0, residency=50.0, initial_jobs=8)
-        collector = TraceCollector()
-        with use_collector(collector):
-            baseline = run_cluster(trace=trace, speculate=False)
-        collector = TraceCollector()
-        with use_collector(collector):
-            speculative = run_cluster(trace=trace, speculate=True)
-        counters = collector.metrics.counters()
-        assert counters.get("cluster.speculative_submitted", 0) > 0
-        assert counters.get("cluster.speculative_hits", 0) > 0
-        assert dataclasses.asdict(speculative) == dataclasses.asdict(baseline)
+        serial = run_cluster(**kwargs)
+        with ExecutionEngine(workers=2) as engine:
+            pooled = run_cluster(engine=engine, **kwargs)
+        assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)

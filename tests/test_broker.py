@@ -19,6 +19,7 @@ from repro.broker import (
 from repro.cluster import (
     BudgetTransfer,
     ClusterSimulator,
+    RecoveryConfig,
     ResourceBudget,
     ServerNode,
     coerce_budget,
@@ -29,6 +30,7 @@ from repro.cluster import (
 from repro.errors import ClusterError
 from repro.experiments.broker import broker_sweep
 from repro.experiments.runner import RunConfig
+from repro.faults import NodeFaultPlan
 from repro.obs import TraceCollector, use_collector
 from repro.state import PolicyState
 from repro.workloads.arrivals import poisson_trace
@@ -428,6 +430,35 @@ class TestSimulatorIntegration:
             assert pool_totals(budgets) == pool
         # End state too: the nodes' final budgets still sum to the pool.
         assert pool_totals(n.budget for n in sim.nodes) == pool
+
+    def test_bo_broker_holds_budgets_through_an_outage(self, catalog4):
+        """A node outage changes the live set the BO meta-space was built
+        for: the broker leaves budgets alone (and learns nothing) until
+        the node rejoins, instead of aborting the run."""
+        collector = TraceCollector()
+        broker = make_broker("bo")
+        sim = ClusterSimulator(
+            tiny_trace(n_epochs=6, initial_jobs=6), n_nodes=3, catalog=catalog4,
+            epoch_config=TINY, policy="EqualPartition", seed=3, broker=broker,
+            fleet_plans={1: NodeFaultPlan(crash_epoch=3, crash_rejoin_epochs=1)},
+            recovery=RecoveryConfig(),
+        )
+        with use_collector(collector):
+            result = sim.run()  # the pool audit runs every epoch
+        assert result.node_downs == 1 and result.node_rejoins == 1
+        assert pool_totals(n.budget for n in sim.nodes) == sim.pool
+        down_epochs = {r.epoch for r in result.records} - {
+            r.epoch for r in result.records if r.node_id == 1
+        }
+        assert down_epochs
+        transfer_epochs = {
+            dict(e.args)["epoch"]
+            for e in collector.events
+            if e.name == "budget_transfer"
+        }
+        assert not transfer_epochs & down_epochs
+        samples = broker.snapshot().payload_dict()["epochs_seen"]
+        assert samples == result.n_epochs - len(down_epochs)
 
     def test_broker_decisions_are_observable(self, catalog4):
         collector = TraceCollector()

@@ -54,7 +54,7 @@ class TestRegression:
 class TestContextChanges:
     def test_equal_context_reports_nothing(self):
         payload = {"n_nodes": 3, "n_epochs": 4, "epoch_seconds": 6.0,
-                   "batched": {"workers": 3}}
+                   "pooled": {"workers": 2}}
         assert diff_bench.context_changes(
             "BENCH_cluster.json", payload, dict(payload)) == []
 
@@ -143,7 +143,7 @@ class TestMain:
         assert "epoch_seconds 2.0 -> 6.0" in out
 
     def test_one_sided_metrics_are_noted_not_silent(self, tmp_path, capsys):
-        # The previous artifact predates the batched section; the
+        # The previous artifact predates the pooled section; the
         # current one gained it. Neither direction should warn, but the
         # schema drift must be visible.
         prev, cur = tmp_path / "prev", tmp_path / "cur"
@@ -153,13 +153,14 @@ class TestMain:
         })
         _write(cur, "BENCH_cluster.json", {
             "schemes": {"bo": scheme},
-            "batched": {"speedup": 1.9, "batched_epochs_per_s": 0.9},
+            "pooled": {"speedup": {"median": 1.4, "iqr": 0.2},
+                       "pooled_wall_s": {"median": 0.6, "iqr": 0.05}},
         })
         code = diff_bench.main([str(prev), str(cur), "--strict"])
         out = capsys.readouterr().out
         assert code == 0
         assert "WARN" not in out
-        assert "batched.speedup is new" in out
+        assert "pooled.speedup.median is new" in out
         assert "schemes.legacy.epochs_per_s dropped" in out
 
     def test_qos_attainment_loss_warns_gain_notices(self, tmp_path, capsys):

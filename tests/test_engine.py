@@ -139,53 +139,6 @@ class TestDeterminism:
         assert engine.stats.deduplicated == 1
 
 
-# -- futures surface -----------------------------------------------------
-
-
-class TestFuturesSurface:
-    """``run()`` is a thin wrapper over submit/poll — paired bit-identity.
-
-    The control-flow inversion's acceptance test: driving the engine
-    through the non-blocking surface (``submit`` + ``as_completed`` or
-    manual ``poll`` loops) must produce results bit-identical to the
-    blocking ``run()`` it replaced.
-    """
-
-    def test_submit_as_completed_matches_run(self, mixes, catalog):
-        specs = [spec(mix, catalog) for mix in mixes[:3]]
-        blocking = ExecutionEngine(workers=2).run(specs)
-
-        engine = ExecutionEngine(workers=2)
-        futures = [engine.submit(s) for s in specs]
-        completed = list(engine.as_completed(futures, timeout_s=300))
-        assert sorted(f.spec.digest for f in completed) == sorted(
-            f.spec.digest for f in futures
-        )
-        stepped = [f.result() for f in futures]
-        assert [r.to_dict() for r in stepped] == [r.to_dict() for r in blocking]
-        engine.close()
-
-    def test_manual_poll_loop_matches_run(self, mixes, catalog):
-        one = spec(mixes[0], catalog)
-        blocking = ExecutionEngine().run_one(one)
-
-        engine = ExecutionEngine()
-        future = engine.submit(one)
-        assert not future.done
-        while engine.poll():
-            pass
-        assert future.done
-        assert future.peek().to_dict() == blocking.to_dict()
-
-    def test_inflight_duplicates_share_one_execution(self, mixes, catalog):
-        engine = ExecutionEngine()
-        a = engine.submit(spec(mixes[0], catalog))
-        b = engine.submit(spec(mixes[0], catalog))
-        assert a.result().to_dict() == b.result().to_dict()
-        assert engine.stats.executed == 1
-        assert engine.stats.deduplicated == 1
-
-
 # -- cache ---------------------------------------------------------------
 
 

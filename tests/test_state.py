@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSimulator, MigrationConfig
+from repro.cluster import ClusterSimulator, MigrationConfig, RecoveryConfig
 from repro.engine import ExecutionEngine, RunCache, RunSpec, execute_run
 from repro.errors import ClusterError, PolicyError
 from repro.experiments.runner import RunConfig, experiment_catalog
@@ -315,6 +315,76 @@ class TestClusterWarmStart:
         cold_first = [r for r in cold.records if r.epoch == 0]
         warm_first = [r for r in warm.records if r.epoch == 0]
         assert cold_first == warm_first  # epoch 0 is cold either way
+
+
+class _RecordingEngine(ExecutionEngine):
+    """A serial engine that remembers every batch's spec digests."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def run(self, specs, on_error="raise"):
+        self.batches.append([spec.digest for spec in specs])
+        return super().run(specs, on_error=on_error)
+
+
+class TestWarmStartUnderBroker:
+    """Warm start only resumes a snapshot under the budget it ran under.
+
+    On this quiet trace every node hosts two jobs throughout; the trade
+    broker moves nodes 1 and 3 before the last epoch and never touches
+    nodes 0 and 2.
+    """
+
+    def run_fleet(self, broker):
+        engine = _RecordingEngine()
+        result = ClusterSimulator(
+            quiet_trace(n_epochs=4, n_jobs=8),
+            n_nodes=4,
+            policy="SATORI",
+            catalog=experiment_catalog(4),
+            epoch_config=RunConfig(duration_s=1.0, baseline_reset_s=0.5),
+            seed=1,
+            broker=broker,
+            warm_start=True,
+            recovery=RecoveryConfig(),
+            engine=engine,
+        ).run()
+        return result, engine.batches
+
+    def test_budget_move_cold_starts_instead_of_failing(self):
+        result, _ = self.run_fleet("trade")
+        assert result.budget_transfers > 0
+        assert not any(record.failed for record in result.records)
+        by_node = {}
+        for record in result.records:
+            by_node.setdefault(record.node_id, []).append(record)
+        moved = set()
+        for node_id, records in by_node.items():
+            for before, after in zip(records, records[1:]):
+                assert not after.synthesized
+                if after.budget != before.budget:
+                    moved.add(node_id)
+                    assert not after.warm_started
+                else:
+                    assert after.warm_started
+        assert moved and moved != set(by_node)
+
+    def test_unmoved_nodes_keep_their_spec_digests(self):
+        traded, traded_batches = self.run_fleet("trade")
+        _, fixed_batches = self.run_fleet(None)
+        full = traded.records[0].budget
+        unmoved = [
+            node_id
+            for node_id in range(4)
+            if all(r.budget == full for r in traded.records if r.node_id == node_id)
+        ]
+        assert unmoved
+        for node_id in unmoved:
+            assert [batch[node_id] for batch in traded_batches] == [
+                batch[node_id] for batch in fixed_batches
+            ]
 
 
 class TestMigrationPenalty:
