@@ -198,8 +198,8 @@ def test_cluster_placement_sweep(benchmark):
 
     rows = [
         [
-            cell.placement,
-            cell.policy,
+            cell.coords["placement"],
+            cell.coords["policy"],
             cell.result.mean_speedup,
             cell.result.fairness,
             cell.result.p10_speedup,
@@ -207,7 +207,7 @@ def test_cluster_placement_sweep(benchmark):
         for cell in sweep.cells
     ]
     print(
-        f"\nCluster sweep — {N_NODES} nodes, {sweep.n_jobs} jobs over "
+        f"\nCluster sweep — {N_NODES} nodes, {len(trace)} jobs over "
         f"{N_EPOCHS} epochs (faults on even nodes)"
     )
     print(
@@ -224,9 +224,11 @@ def test_cluster_placement_sweep(benchmark):
     # SATORI should beat static partitioning on throughput under at
     # least one placement (the single-server result, surviving scale-out).
     satori = max(
-        c.result.mean_speedup for c in sweep.cells if c.policy == "SATORI"
+        c.result.mean_speedup for c in sweep.cells if c.coords["policy"] == "SATORI"
     )
     static = max(
-        c.result.mean_speedup for c in sweep.cells if c.policy == "EqualPartition"
+        c.result.mean_speedup
+        for c in sweep.cells
+        if c.coords["policy"] == "EqualPartition"
     )
     assert satori > 0.8 * static

@@ -8,7 +8,6 @@ use — time series (weights, objective traces), grouped bars
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -17,14 +16,6 @@ from repro.errors import ExperimentError
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 _BAR_CHAR = "█"
-
-#: Series naming convention used by ``repro.cluster.ClusterSimulator``:
-#: one per-epoch series per (sweep cell, node, metric).
-_CLUSTER_SERIES = re.compile(
-    r"^cluster\.(?P<placement>[^.]+)\.(?P<policy>[^.]+)"
-    r"\.node(?P<node>\d+)\.(?P<metric>[^.]+)$"
-)
-
 
 def sparkline(values: Sequence[float], lo: Optional[float] = None, hi: Optional[float] = None) -> str:
     """One-line unicode sparkline of a numeric series."""
@@ -50,53 +41,70 @@ def sparkline(values: Sequence[float], lo: Optional[float] = None, hi: Optional[
     return "".join(chars)
 
 
+def _node_series(result) -> Dict[int, Dict[str, List[float]]]:
+    """One cluster result's per-node, per-metric epoch series."""
+    nodes: Dict[int, Dict[str, List[float]]] = {}
+    for record in result.records:
+        series = nodes.setdefault(record.node_id, {})
+        values = [
+            ("throughput", record.throughput),
+            ("fairness", record.fairness),
+            ("occupancy", record.n_jobs),
+        ]
+        if record.budget is not None:
+            values.append(("budget_units", record.budget.total_units))
+        if record.slo_attained:
+            values.append(
+                ("slo_attainment", float(np.mean([v for _, v in record.slo_attained])))
+            )
+        for metric, value in values:
+            series.setdefault(metric, []).append(value)
+    return nodes
+
+
 def cluster_node_dashboard(
-    metrics,
+    results: Sequence,
     metric_order: Sequence[str] = ("throughput", "fairness", "occupancy"),
 ) -> str:
-    """Per-node sparkline dashboard from cluster-sweep metric series.
+    """Per-node sparkline dashboard over cluster runs' node-epoch records.
 
-    Consumes the ``cluster.<placement>.<policy>.node<N>.<metric>``
-    series a :class:`~repro.cluster.simulator.ClusterSimulator` records
-    into the active collector's registry: one block per sweep cell, one
-    row per node, one sparkline per metric over the epochs. Within a
-    cell each metric shares its scale across nodes, so an unfair
-    placement shows up as visibly divergent rows.
+    One block per run, labelled ``placement / policy[@broker]`` and
+    ordered by label (runs sharing a label keep their given order);
+    one row per node, one sparkline per metric over the node's
+    epochs. Within a block each metric shares its scale across nodes,
+    so an unfair placement shows up as visibly divergent rows.
+    Metrics are the node-epoch throughput, fairness and occupancy
+    (resident jobs), plus budget units and mean qos SLO attainment
+    where the records carry them.
 
     Args:
-        metrics: a :class:`~repro.obs.MetricRegistry` (anything with
-            ``items()`` yielding ``(name, series)``) or a plain
-            ``{name: sequence}`` mapping.
+        results: :class:`~repro.cluster.simulator.ClusterResult`
+            objects (anything with ``records``, ``placement``,
+            ``policy`` and ``broker``).
         metric_order: metric columns to render, left to right; metrics
             absent from the data are skipped.
 
     Raises:
-        ExperimentError: if no cluster series are present.
+        ExperimentError: if no result holds a node-epoch record.
     """
-    pairs = metrics.items() if hasattr(metrics, "items") else metrics
-    cells: Dict[tuple, Dict[int, Dict[str, List[float]]]] = {}
+    cells = []
     seen_metrics = set()
-    for name, metric in pairs:
-        match = _CLUSTER_SERIES.match(name)
-        if not match:
+    for result in results:
+        nodes = _node_series(result)
+        if not nodes:
             continue
-        values = list(getattr(metric, "values", metric))
-        if not values:
-            continue
-        cell = (match.group("placement"), match.group("policy"))
-        node = int(match.group("node"))
-        cells.setdefault(cell, {}).setdefault(node, {})[match.group("metric")] = values
-        seen_metrics.add(match.group("metric"))
+        policy = result.policy
+        if result.broker != "none":
+            policy += f"@{result.broker}"
+        cells.append(((result.placement, policy), nodes))
+        seen_metrics.update(m for per_node in nodes.values() for m in per_node)
     if not cells:
-        raise ExperimentError(
-            "no cluster.<placement>.<policy>.node<N>.<metric> series to chart; "
-            "run the sweep under an active TraceCollector"
-        )
+        raise ExperimentError("no cluster node-epoch records to chart")
 
     columns = [m for m in metric_order if m in seen_metrics]
     columns += sorted(seen_metrics - set(columns))
     blocks = []
-    for (placement, policy), nodes in sorted(cells.items()):
+    for (placement, policy), nodes in sorted(cells, key=lambda cell: cell[0]):
         # Shared per-metric scale across the cell's nodes.
         scales = {}
         for metric_name in columns:

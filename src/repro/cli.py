@@ -50,7 +50,6 @@ from repro.experiments.resilience import resilience_sweep
 from repro.experiments.runner import RunConfig, experiment_catalog, run_policy
 from repro.experiments.scalability import colocation_scalability
 from repro.experiments.sensitivity import period_sensitivity
-from repro.analysis.stats import paired_deltas
 from repro.errors import ExperimentError
 from repro.policies.oracle import OraclePolicy, OracleSearch
 from repro.policies.static import EqualPartitionPolicy
@@ -81,34 +80,64 @@ def _engine(args: argparse.Namespace) -> ExecutionEngine:
     return ExecutionEngine(workers=args.workers, cache=cache)
 
 
-def _export_trace(collector, trace_dir: str, process_name: str) -> None:
-    """Write the PR 5 trace artifacts for a collected run."""
-    import os
+def _fleet_env(args: argparse.Namespace) -> dict:
+    """Shared fleet-sweep keywords from the fleet flags.
 
-    from repro.obs.export import write_chrome_trace, write_jsonl, write_prometheus
+    The trace is :func:`~repro.experiments.cluster.default_trace` sized
+    to ``--nodes``; ``node_budgets`` is included for commands that
+    take ``--node-budgets`` (``8,8,4,4`` -> per-node uniform unit
+    counts).
+    """
+    from repro.experiments.cluster import default_trace
 
-    os.makedirs(trace_dir, exist_ok=True)
-    write_jsonl(collector.events, os.path.join(trace_dir, "trace.jsonl"))
-    write_chrome_trace(
-        collector.events,
-        os.path.join(trace_dir, "trace.chrome.json"),
-        process_name=process_name,
+    catalog = experiment_catalog(args.units)
+    env = dict(
+        trace=default_trace(
+            n_epochs=args.epochs,
+            n_nodes=args.nodes,
+            arrival_rate=args.arrival_rate,
+            mean_residency=args.residency,
+            suite=args.suite,
+            seed=args.seed,
+            catalog=catalog,
+            qos_fraction=getattr(args, "qos_fraction", 0.0),
+        ),
+        n_nodes=args.nodes,
+        catalog=catalog,
+        epoch_config=RunConfig(duration_s=args.duration),
+        seed=args.seed,
+        engine=_engine(args),
     )
-    write_prometheus(collector.metrics, os.path.join(trace_dir, "metrics.prom"))
-    print(f"\ntrace artifacts written to {trace_dir}/ "
-          f"(trace.jsonl, trace.chrome.json, metrics.prom)")
+    if hasattr(args, "node_budgets"):
+        env["node_budgets"] = None
+        if args.node_budgets:
+            try:
+                budgets = [int(part) for part in args.node_budgets.split(",") if part.strip()]
+            except ValueError:
+                raise SystemExit(
+                    f"--node-budgets wants comma-separated integers, got {args.node_budgets!r}"
+                ) from None
+            if len(budgets) != args.nodes:
+                raise SystemExit(
+                    f"--node-budgets lists {len(budgets)} nodes, --nodes is {args.nodes}"
+                )
+            env["node_budgets"] = budgets
+    return env
 
 
-def _parse_node_budgets(raw: str) -> Optional[List[int]]:
-    """``--node-budgets 8,8,4,4`` -> per-node uniform unit counts."""
-    if not raw:
-        return None
-    try:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(
-            f"--node-budgets wants comma-separated integers, got {raw!r}"
-        ) from None
+def _write_json(path: Optional[str], payload: dict) -> None:
+    """Write a JSON report to ``path`` (``-`` for stdout; empty: skip)."""
+    import json
+
+    if not path:
+        return
+    text = json.dumps(payload, indent=2)
+    if path == "-":
+        print(text)
+        return
+    with open(path, "w") as handle:
+        handle.write(text + "\n")
+    print(f"\nJSON report written to {path}")
 
 
 def _print_engine_stats(engine: ExecutionEngine) -> None:
@@ -237,95 +266,74 @@ def cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
-    import json
-    import os
-
     from repro.experiments.obs import observed_overhead
-    from repro.obs.export import write_chrome_trace, write_jsonl, write_prometheus
+    from repro.obs import active_collector
 
     catalog = experiment_catalog(args.units)
     mix = _mixes(args)[args.mix]
-    report, collector = observed_overhead(
+    ambient = active_collector()
+    report, _ = observed_overhead(
         mix,
         catalog,
         RunConfig(duration_s=args.duration),
         seed=args.seed,
         idle_detection=args.idle,
+        # Record into main()'s --trace-dir collector when one is active.
+        collector=ambient if ambient.enabled else None,
     )
     budget = report.budget
-
-    if args.json is not None:
-        payload = json.dumps(report.to_dict(), indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(payload + "\n")
-    if args.json != "-":
-        rows = [
-            ["decide (controller)", budget.decide_ms, budget.decide_ms / max(1, budget.n_intervals)],
-            ["  suggest (BO)", budget.suggest_ms, budget.suggest_ms / max(1, budget.n_intervals)],
-            ["    gp_fit", budget.gp_fit_ms, budget.gp_fit_ms / max(1, budget.n_intervals)],
-            ["    acquisition", budget.acquisition_ms, budget.acquisition_ms / max(1, budget.n_intervals)],
-            ["  bookkeeping", budget.bookkeeping_ms, budget.bookkeeping_ms / max(1, budget.n_intervals)],
-            ["actuation", budget.actuation_ms, budget.actuation_ms / max(1, budget.n_intervals)],
-        ]
-        print(
-            format_table(
-                ["span", "total (ms)", "per interval (ms)"],
-                rows,
-                precision=3,
-                title=f"decision-latency budget, mix {report.mix_label} "
-                      f"({budget.n_intervals} intervals):",
-            )
+    if args.json == "-":
+        _write_json("-", report.to_dict())
+        return 0
+    rows = [
+        ["decide (controller)", budget.decide_ms, budget.decide_ms / max(1, budget.n_intervals)],
+        ["  suggest (BO)", budget.suggest_ms, budget.suggest_ms / max(1, budget.n_intervals)],
+        ["    gp_fit", budget.gp_fit_ms, budget.gp_fit_ms / max(1, budget.n_intervals)],
+        ["    acquisition", budget.acquisition_ms, budget.acquisition_ms / max(1, budget.n_intervals)],
+        ["  bookkeeping", budget.bookkeeping_ms, budget.bookkeeping_ms / max(1, budget.n_intervals)],
+        ["actuation", budget.actuation_ms, budget.actuation_ms / max(1, budget.n_intervals)],
+    ]
+    print(
+        format_table(
+            ["span", "total (ms)", "per interval (ms)"],
+            rows,
+            precision=3,
+            title=f"decision-latency budget, mix {report.mix_label} "
+                  f"({budget.n_intervals} intervals):",
         )
-        print(
-            f"\ndecision latency: {budget.mean_overhead_ms:.3f} ms/interval "
-            f"({100 * budget.overhead_fraction_of_interval:.2f} % of the "
-            f"{budget.control_interval_ms:.0f} ms interval; "
-            f"paper reports ~1.2 ms for all BO tasks)"
-        )
-        print(f"span coverage: {100 * budget.span_coverage:.1f} % of the measured "
-              f"decision latency is explained by gp_fit + acquisition + actuation")
-        print(f"idle fraction: {report.idle_fraction:.2f} "
-              f"(idle detection {'on' if report.idle_detection else 'off'})")
-        if report.counters:
-            print(format_table(
-                ["counter", "count"],
-                [[name, int(value)] for name, value in report.counters],
-                title="\ncounters:",
-            ))
-
-    if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
-        jsonl_path = os.path.join(args.trace_dir, "trace.jsonl")
-        chrome_path = os.path.join(args.trace_dir, "trace.chrome.json")
-        prom_path = os.path.join(args.trace_dir, "metrics.prom")
-        write_jsonl(collector.events, jsonl_path)
-        write_chrome_trace(collector.events, chrome_path, process_name="repro obs")
-        write_prometheus(collector.metrics, prom_path)
-        if args.json != "-":
-            print(f"\ntrace artifacts written to {args.trace_dir}/ "
-                  f"(trace.jsonl, trace.chrome.json, metrics.prom)")
+    )
+    print(
+        f"\ndecision latency: {budget.mean_overhead_ms:.3f} ms/interval "
+        f"({100 * budget.overhead_fraction_of_interval:.2f} % of the "
+        f"{budget.control_interval_ms:.0f} ms interval; "
+        f"paper reports ~1.2 ms for all BO tasks)"
+    )
+    print(f"span coverage: {100 * budget.span_coverage:.1f} % of the measured "
+          f"decision latency is explained by gp_fit + acquisition + actuation")
+    print(f"idle fraction: {report.idle_fraction:.2f} "
+          f"(idle detection {'on' if report.idle_detection else 'off'})")
+    if report.counters:
+        print(format_table(
+            ["counter", "count"],
+            [[name, int(value)] for name, value in report.counters],
+            title="\ncounters:",
+        ))
+    _write_json(args.json, report.to_dict())
     return 0
 
 
 def cmd_resilience(args: argparse.Namespace) -> int:
-    from repro.obs import TraceCollector, use_collector
-
     catalog = experiment_catalog(args.units)
     mix = _mixes(args)[args.mix]
     engine = _engine(args)
-    collector = TraceCollector()
-    with use_collector(collector):
-        result = resilience_sweep(
-            mix,
-            catalog,
-            RunConfig(duration_s=args.duration),
-            intensities=tuple(args.intensities),
-            seed=args.seed,
-            engine=engine,
-        )
+    result = resilience_sweep(
+        mix,
+        catalog,
+        RunConfig(duration_s=args.duration),
+        intensities=tuple(args.intensities),
+        seed=args.seed,
+        engine=engine,
+    )
     rows = []
     for outcome in result.outcomes:
         if outcome.failed:
@@ -349,67 +357,46 @@ def cmd_resilience(args: argparse.Namespace) -> int:
             title=f"mix: {result.mix_label} (faults over the middle third of each run)",
         )
     )
-    if args.trace_dir:
-        _export_trace(collector, args.trace_dir, "repro resilience")
     _print_engine_stats(engine)
     return 0
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
+def _print_dashboard(sweep) -> None:
     from repro.analysis.plots import cluster_node_dashboard
-    from repro.cluster.simulator import MigrationConfig
-    from repro.experiments.cluster import cluster_sweep, default_trace
-    from repro.obs import TraceCollector, use_collector
 
-    catalog = experiment_catalog(args.units)
-    epoch_config = RunConfig(duration_s=args.duration)
-    trace = default_trace(
-        n_epochs=args.epochs,
-        n_nodes=args.nodes,
-        arrival_rate=args.arrival_rate,
-        mean_residency=args.residency,
-        suite=args.suite,
-        seed=args.seed,
-        catalog=catalog,
-        qos_fraction=args.qos_fraction,
+    print("\nper-node trends over epochs (shared scale within each cell):\n")
+    print(cluster_node_dashboard([cell.result for cell in sweep.cells]))
+
+
+def cmd_cluster(args: argparse.Namespace) -> int:
+    from repro.cluster.simulator import MigrationConfig
+    from repro.experiments.cluster import cluster_sweep
+
+    env = _fleet_env(args)
+    trace = env["trace"]
+    sweep = cluster_sweep(
+        **env,
+        placements=tuple(args.placements),
+        policies=tuple(args.policies),
+        fault_intensity=args.fault_intensity,
+        migration=(
+            MigrationConfig(warmup_penalty_intervals=args.migration_penalty)
+            if args.migrate
+            else None
+        ),
+        warm_start=args.warm_start,
     )
-    engine = _engine(args)
-    node_budgets = _parse_node_budgets(args.node_budgets)
-    if node_budgets is not None and len(node_budgets) != args.nodes:
-        raise SystemExit(
-            f"--node-budgets lists {len(node_budgets)} nodes, --nodes is {args.nodes}"
-        )
-    collector = TraceCollector()
-    with use_collector(collector):
-        sweep = cluster_sweep(
-            trace,
-            n_nodes=args.nodes,
-            placements=tuple(args.placements),
-            policies=tuple(args.policies),
-            catalog=catalog,
-            epoch_config=epoch_config,
-            seed=args.seed,
-            fault_intensity=args.fault_intensity,
-            migration=(
-                MigrationConfig(warmup_penalty_intervals=args.migration_penalty)
-                if args.migrate
-                else None
-            ),
-            node_budgets=node_budgets,
-            engine=engine,
-            warm_start=args.warm_start,
-        )
     print(
-        f"trace: {sweep.n_jobs} jobs over {sweep.n_epochs} epochs "
-        f"({args.duration:g}s each), peak {sweep.peak_jobs} resident, "
+        f"trace: {len(trace)} jobs over {trace.n_epochs} epochs "
+        f"({args.duration:g}s each), peak {trace.peak_jobs} resident, "
         f"{args.nodes} nodes"
     )
     rows = []
     for cell in sweep.cells:
         r = cell.result
         rows.append([
-            cell.placement,
-            cell.policy,
+            r.placement,
+            r.policy,
             f"{r.throughput:.3f}",
             f"{r.mean_speedup:.3f}",
             f"{r.fairness:.3f}",
@@ -439,35 +426,24 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 ["node", "throughput", "fairness", "mean jobs",
                  "budget units", "budget occ"],
                 node_rows,
-                title=f"per-node [{cell.placement} / {cell.policy}]:",
+                title=f"per-node [{cell.result.placement} / {cell.result.policy}]:",
             )
         )
-
-    print("\nper-node trends over epochs (shared scale within each cell):\n")
-    print(cluster_node_dashboard(collector.metrics))
+    _print_dashboard(sweep)
 
     # Placement-vs-placement paired deltas: each job is its own control,
     # so even a small fleet yields a meaningful CI on the speedup gain.
-    delta_rows = []
-    for policy in args.policies:
-        cells = [c for c in sweep.cells if c.policy == policy]
-        for i, base in enumerate(cells):
-            for other in cells[i + 1:]:
-                try:
-                    pd = paired_deltas(
-                        base.result.job_mean_speedups(),
-                        other.result.job_mean_speedups(),
-                    )
-                except ExperimentError:
-                    continue
-                delta_rows.append([
-                    policy,
-                    f"{other.placement} - {base.placement}",
-                    f"{pd.delta.mean:+.3f}",
-                    f"[{pd.delta.ci_low:+.3f}, {pd.delta.ci_high:+.3f}]",
-                    pd.n_common,
-                    pd.n_only_a + pd.n_only_b,
-                ])
+    delta_rows = [
+        [
+            other.result.policy,
+            f"{other.result.placement} - {base.result.placement}",
+            f"{pd.delta.mean:+.3f}",
+            f"[{pd.delta.ci_low:+.3f}, {pd.delta.ci_high:+.3f}]",
+            pd.n_common,
+            pd.n_only_a + pd.n_only_b,
+        ]
+        for base, other, pd in sweep.job_deltas("placement")
+    ]
     if delta_rows:
         print()
         print(
@@ -478,62 +454,33 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 title="paired per-job speedup deltas (same trace, same jobs):",
             )
         )
-    if args.trace_dir:
-        _export_trace(collector, args.trace_dir, "repro cluster")
-    _print_engine_stats(engine)
+    _print_engine_stats(env["engine"])
     return 0
 
 
 def cmd_broker(args: argparse.Namespace) -> int:
-    from repro.analysis.plots import cluster_node_dashboard
     from repro.experiments.broker import broker_sweep
-    from repro.experiments.cluster import default_trace
-    from repro.obs import TraceCollector, use_collector
 
-    catalog = experiment_catalog(args.units)
-    epoch_config = RunConfig(duration_s=args.duration)
-    trace = default_trace(
-        n_epochs=args.epochs,
-        n_nodes=args.nodes,
-        arrival_rate=args.arrival_rate,
-        mean_residency=args.residency,
-        suite=args.suite,
-        seed=args.seed,
-        catalog=catalog,
+    env = _fleet_env(args)
+    trace = env["trace"]
+    sweep = broker_sweep(
+        **env,
+        brokers=tuple(args.brokers),
+        placements=tuple(args.placements),
+        policy=args.policy,
+        fault_intensity=args.fault_intensity,
     )
-    engine = _engine(args)
-    node_budgets = _parse_node_budgets(args.node_budgets)
-    if node_budgets is not None and len(node_budgets) != args.nodes:
-        raise SystemExit(
-            f"--node-budgets lists {len(node_budgets)} nodes, --nodes is {args.nodes}"
-        )
-    collector = TraceCollector()
-    with use_collector(collector):
-        sweep = broker_sweep(
-            trace,
-            n_nodes=args.nodes,
-            brokers=tuple(args.brokers),
-            placements=tuple(args.placements),
-            policy=args.policy,
-            catalog=catalog,
-            epoch_config=epoch_config,
-            seed=args.seed,
-            fault_intensity=args.fault_intensity,
-            node_budgets=node_budgets,
-            slo_threshold=args.slo,
-            engine=engine,
-        )
     print(
-        f"trace: {sweep.n_jobs} jobs over {sweep.n_epochs} epochs "
+        f"trace: {len(trace)} jobs over {trace.n_epochs} epochs "
         f"({args.duration:g}s each), {args.nodes} nodes, "
-        f"local policy {sweep.policy}"
+        f"local policy {args.policy}"
     )
     rows = []
     for cell in sweep.cells:
         r = cell.result
         rows.append([
-            cell.broker,
-            cell.placement,
+            r.broker,
+            r.placement,
             f"{r.mean_speedup:.3f}",
             f"{r.fairness:.3f}",
             f"{r.slo_attainment(args.slo):.3f}",
@@ -549,20 +496,19 @@ def cmd_broker(args: argparse.Namespace) -> int:
             title="cluster-wide by broker scheme:",
         )
     )
-    deltas = sweep.deltas_vs_static()
-    if deltas:
-        delta_rows = [
-            [
-                d.broker,
-                d.placement,
-                f"{d.speedup.delta.mean:+.3f}",
-                f"[{d.speedup.delta.ci_low:+.3f}, {d.speedup.delta.ci_high:+.3f}]",
-                f"{d.fairness_delta:+.3f}",
-                f"{d.slo_delta:+.3f}",
-                d.speedup.n_common,
-            ]
-            for d in deltas
+    delta_rows = [
+        [
+            other.result.broker,
+            other.result.placement,
+            f"{pd.delta.mean:+.3f}",
+            f"[{pd.delta.ci_low:+.3f}, {pd.delta.ci_high:+.3f}]",
+            f"{other.result.fairness - static.result.fairness:+.3f}",
+            f"{other.result.slo_attainment(args.slo) - static.result.slo_attainment(args.slo):+.3f}",
+            pd.n_common,
         ]
+        for static, other, pd in sweep.job_deltas("broker", base="static")
+    ]
+    if delta_rows:
         print()
         print(
             format_table(
@@ -572,33 +518,27 @@ def cmd_broker(args: argparse.Namespace) -> int:
                 title="paired deltas vs the static control (same trace, same jobs):",
             )
         )
-    print("\nper-node trends over epochs (shared scale within each cell):\n")
-    print(cluster_node_dashboard(collector.metrics))
-    if args.trace_dir:
-        _export_trace(collector, args.trace_dir, "repro broker")
-    _print_engine_stats(engine)
+    _print_dashboard(sweep)
+    _print_engine_stats(env["engine"])
     return 0
 
 
 def cmd_warmstart(args: argparse.Namespace) -> int:
     from repro.experiments.warmstart import warmstart_experiment
-    from repro.obs import TraceCollector, use_collector
 
     catalog = experiment_catalog(args.units)
     mixes = suite_mixes(args.suite, mix_size=3)[: args.mixes]
     engine = _engine(args)
-    collector = TraceCollector()
-    with use_collector(collector):
-        report = warmstart_experiment(
-            mixes,
-            catalog=catalog,
-            run_config=RunConfig(duration_s=args.duration,
-                                 baseline_reset_s=args.duration / 2),
-            n_nodes=args.nodes,
-            n_epochs=args.epochs,
-            seed=args.seed,
-            engine=engine,
-        )
+    report = warmstart_experiment(
+        mixes,
+        catalog=catalog,
+        run_config=RunConfig(duration_s=args.duration,
+                             baseline_reset_s=args.duration / 2),
+        n_nodes=args.nodes,
+        n_epochs=args.epochs,
+        seed=args.seed,
+        engine=engine,
+    )
 
     rows = []
     for cell in report.adaptation:
@@ -645,70 +585,37 @@ def cmd_warmstart(args: argparse.Namespace) -> int:
               f"(n={recovery.n_common})")
         print(f"  recovery outcomes: warm faster {outcomes['wins']}, "
               f"tied {outcomes['ties']}, slower {outcomes['losses']}")
-
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"\nJSON summary written to {args.json}")
-    if args.trace_dir:
-        _export_trace(collector, args.trace_dir, "repro warmstart")
+    _write_json(args.json, report.to_dict())
     _print_engine_stats(engine)
     return 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
     from repro.cluster import RecoveryConfig
     from repro.experiments.chaos import chaos_fleet_plans, chaos_sweep
-    from repro.experiments.cluster import default_trace
 
-    catalog = experiment_catalog(args.units)
-    epoch_config = RunConfig(duration_s=args.duration)
-    trace = default_trace(
-        n_epochs=args.epochs,
-        n_nodes=args.nodes,
-        arrival_rate=args.arrival_rate,
-        mean_residency=args.residency,
-        suite=args.suite,
-        seed=args.seed,
-        catalog=catalog,
-        qos_fraction=args.qos_fraction,
-    )
-    plans = chaos_fleet_plans(
-        args.nodes,
-        args.epochs,
-        crash_node=args.crash_node,
-        crash_epoch=args.crash_epoch,
-        outage_epochs=args.outage,
-        straggler_node=args.straggler_node,
-        straggler_slowdown=args.straggler_slowdown,
-    )
-    engine = _engine(args)
-    recovery = RecoveryConfig(
-        snapshot_cadence_epochs=args.snapshot_cadence,
-        warmup_penalty_intervals=args.penalty,
-    )
+    env = _fleet_env(args)
     report = chaos_sweep(
-        trace,
-        args.nodes,
-        plans,
+        fleet_plans=chaos_fleet_plans(
+            args.nodes,
+            args.epochs,
+            crash_node=args.crash_node,
+            crash_epoch=args.crash_epoch,
+            outage_epochs=args.outage,
+            straggler_node=args.straggler_node,
+            straggler_slowdown=args.straggler_slowdown,
+        ),
         placement=args.placement,
         policy=args.policy,
-        catalog=catalog,
-        epoch_config=epoch_config,
-        seed=args.seed,
-        recovery=recovery,
-        engine=engine,
+        recovery=RecoveryConfig(
+            snapshot_cadence_epochs=args.snapshot_cadence,
+            warmup_penalty_intervals=args.penalty,
+        ),
+        **env,
     )
     print(report.summary())
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"\nJSON report written to {args.json}")
-    _print_engine_stats(engine)
+    _write_json(args.json, report.to_dict())
+    _print_engine_stats(env["engine"])
     if args.assert_recovery:
         problems = []
         if report.recovery.jobs_lost:
@@ -725,8 +632,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_qos(args: argparse.Namespace) -> int:
-    import json
-
     from repro.experiments.qos import qos_sweep
     from repro.qos import SLOSpec
 
@@ -749,10 +654,7 @@ def cmd_qos(args: argparse.Namespace) -> int:
         engine=engine,
     )
     print(report.summary())
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"\nJSON report written to {args.json}")
+    _write_json(args.json, report.to_dict())
     _print_engine_stats(engine)
     return 0
 
@@ -790,7 +692,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
-    import json
 
     from repro.serve import ControlPlaneServer, LoadGenerator, SessionSpec
     from repro.workloads.arrivals import poisson_trace
@@ -847,10 +748,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     target = "self-hosted server" if args.self_host else f"{args.host}:{args.port}"
     print(format_table(["measure", "value"],
                        rows, title=f"load replay against {target}:"))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"\nJSON report written to {args.json}")
+    _write_json(args.json, report.to_dict())
     return 1 if report.errors else 0
 
 
@@ -894,6 +792,65 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Fleet flags (``--nodes``, ``--arrival-rate``, ...) with their
+#: argparse settings; defaults come per command from ``_FLEET_DEFAULTS``.
+_FLEET_FLAGS = {
+    "nodes": dict(type=int, help="fleet size"),
+    "epochs": dict(type=int, help="placement epochs (trace length)"),
+    "arrival_rate": dict(type=float, help="mean job arrivals per epoch (Poisson)"),
+    "residency": dict(type=float, help="mean resident epochs per job (geometric)"),
+    "placement": dict(help="placement policy every arm runs"),
+    "placements": dict(nargs="+", help="placement policies to compare"),
+    "policy": dict(help="partitioning policy every node runs"),
+    "policies": dict(nargs="+", help="partitioning policies to compare"),
+    "fault_intensity": dict(type=float, help="fault intensity on even-numbered nodes"),
+    "node_budgets": dict(help="comma-separated per-node unit counts, e.g. "
+                              "'8,8,4,4' (uniform across resources); empty "
+                              "means every node owns its full catalog"),
+    "qos_fraction": dict(type=float, help="fraction of arrivals tagged 'qos' (0 keeps "
+                                          "the trace bit-identical to untyped runs)"),
+    "json": dict(help="write the JSON report to this path"),
+}
+
+#: Each fleet command's fleet flags and their defaults. ``duration`` is
+#: the per-epoch length (warmstart: the continuation-epoch length).
+_FLEET_DEFAULTS = {
+    "cluster": dict(
+        duration=4.0, nodes=4, epochs=4, arrival_rate=1.5, residency=3.0,
+        placements=["round_robin", "contention_aware"],
+        policies=["SATORI", "EqualPartition"], fault_intensity=0.0,
+        node_budgets="", qos_fraction=0.0,
+    ),
+    "broker": dict(
+        duration=4.0, nodes=4, epochs=6, arrival_rate=1.5, residency=3.0,
+        placements=["round_robin"], policy="SATORI", fault_intensity=0.0,
+        node_budgets="",
+    ),
+    "chaos": dict(
+        duration=3.0, nodes=4, epochs=6, arrival_rate=1.0, residency=5.0,
+        placement="least_loaded", policy="SATORI", qos_fraction=0.0, json="",
+    ),
+    "qos": dict(
+        duration=4.0, nodes=3, epochs=8, placement="slo_aware",
+        policies=["SATORI", "BoPF", "QoSPARTIES"], json="",
+    ),
+    "warmstart": dict(duration=8.0, nodes=2, epochs=12, json=""),
+}
+
+
+def _add_fleet_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    for name, default in _FLEET_DEFAULTS[command].items():
+        if name in _FLEET_FLAGS:
+            parser.add_argument(
+                "--" + name.replace("_", "-"),
+                # copy list defaults: argparse hands the object out as-is
+                default=list(default) if isinstance(default, list) else default,
+                **_FLEET_FLAGS[name],
+            )
+        else:
+            parser.set_defaults(**{name: default})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -922,6 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=func.__doc__)
         if name not in ("workloads", "serve", "loadgen"):
             _add_common(p)
+        if name in _FLEET_DEFAULTS:
+            _add_fleet_flags(p, name)
         if extra == "compare":
             p.add_argument("--all-mixes", action="store_true", help="run every suite mix")
         if extra == "scalability":
@@ -933,27 +892,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--idle", action="store_true",
                            help="enable idle detection during the measured run")
             # enough intervals for a stable per-interval budget
-            p.set_defaults(duration=15.0, handles_trace=True)
+            p.set_defaults(duration=15.0)
         if extra == "resilience":
             p.add_argument("--intensities", type=float, nargs="+",
                            default=[0.0, 0.25, 0.5, 1.0],
                            help="fault intensities in [0, 1] to sweep")
-            p.set_defaults(handles_trace=True)
         if extra == "cluster":
-            p.add_argument("--nodes", type=int, default=4, help="fleet size")
-            p.add_argument("--epochs", type=int, default=4, help="placement epochs")
-            p.add_argument("--arrival-rate", type=float, default=1.5,
-                           help="mean job arrivals per epoch (Poisson)")
-            p.add_argument("--residency", type=float, default=3.0,
-                           help="mean resident epochs per job (geometric)")
-            p.add_argument("--placements", nargs="+",
-                           default=["round_robin", "contention_aware"],
-                           help="placement policies to compare")
-            p.add_argument("--policies", nargs="+",
-                           default=["SATORI", "EqualPartition"],
-                           help="partitioning policies to compare")
-            p.add_argument("--fault-intensity", type=float, default=0.0,
-                           help="fault intensity on even-numbered nodes")
             p.add_argument("--migrate", action="store_true",
                            help="migrate jobs off persistently unfair nodes")
             p.add_argument("--migration-penalty", type=int, default=0,
@@ -961,62 +905,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--warm-start", action="store_true",
                            help="carry controller state across epochs when a "
                                 "node's job membership is unchanged")
-            p.add_argument("--node-budgets", default="",
-                           help="comma-separated per-node unit counts, e.g. "
-                                "'8,8,4,4' (uniform across resources); empty "
-                                "means every node owns its full catalog")
-            p.add_argument("--qos-fraction", type=float, default=0.0,
-                           help="fraction of arrivals tagged 'qos' (0 keeps "
-                                "the trace bit-identical to untyped runs)")
-            # for cluster, --duration is the per-epoch length
-            p.set_defaults(duration=4.0, handles_trace=True)
         if extra == "broker":
-            p.add_argument("--nodes", type=int, default=4, help="fleet size")
-            p.add_argument("--epochs", type=int, default=6, help="placement epochs")
-            p.add_argument("--arrival-rate", type=float, default=1.5,
-                           help="mean job arrivals per epoch (Poisson)")
-            p.add_argument("--residency", type=float, default=3.0,
-                           help="mean resident epochs per job (geometric)")
             p.add_argument("--brokers", nargs="+",
                            default=["static", "harvest", "trade", "bo"],
                            help="broker schemes to compare")
-            p.add_argument("--placements", nargs="+", default=["round_robin"],
-                           help="placement policies to cross with")
-            p.add_argument("--policy", default="SATORI",
-                           help="partitioning policy every node runs")
-            p.add_argument("--fault-intensity", type=float, default=0.0,
-                           help="fault intensity on even-numbered nodes")
-            p.add_argument("--node-budgets", default="",
-                           help="comma-separated per-node unit counts, e.g. "
-                                "'8,8,4,4' (uniform across resources); empty "
-                                "means every node owns its full catalog")
             p.add_argument("--slo", type=float, default=0.8,
                            help="per-job mean-speedup SLO threshold")
-            # for broker, --duration is the per-epoch length
-            p.set_defaults(duration=4.0, handles_trace=True)
         if extra == "warmstart":
             p.add_argument("--mixes", type=int, default=4,
                            help="number of suite mixes for the adaptation sweep")
-            p.add_argument("--nodes", type=int, default=2,
-                           help="fleet size for the cluster replay")
-            p.add_argument("--epochs", type=int, default=12,
-                           help="trace length for the cluster replay "
-                                "(warm starts need membership-stable boundaries)")
-            p.add_argument("--json", default="",
-                           help="write the JSON report to this path")
-            # warm-start value shows up over multi-epoch horizons
-            p.set_defaults(duration=8.0, handles_trace=True)
         if extra == "chaos":
-            p.add_argument("--nodes", type=int, default=4, help="fleet size")
-            p.add_argument("--epochs", type=int, default=6, help="placement epochs")
-            p.add_argument("--arrival-rate", type=float, default=1.0,
-                           help="mean job arrivals per epoch (Poisson)")
-            p.add_argument("--residency", type=float, default=5.0,
-                           help="mean resident epochs per job (geometric)")
-            p.add_argument("--placement", default="least_loaded",
-                           help="placement policy for both arms")
-            p.add_argument("--policy", default="SATORI",
-                           help="partitioning policy every node runs")
             p.add_argument("--crash-node", type=int, default=0,
                            help="node that crashes mid-trace")
             p.add_argument("--crash-epoch", type=int, default=None,
@@ -1035,22 +933,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--assert-recovery", action="store_true",
                            help="exit 1 unless the recovery arm lost zero jobs "
                                 "and conserved the budget pool (CI smoke)")
-            p.add_argument("--json", default="",
-                           help="write the JSON report to this path")
-            p.add_argument("--qos-fraction", type=float, default=0.0,
-                           help="fraction of arrivals tagged 'qos' (0 keeps "
-                                "the trace bit-identical to untyped runs)")
-            # for chaos, --duration is the per-epoch length
-            p.set_defaults(duration=3.0)
         if extra == "qos":
-            p.add_argument("--nodes", type=int, default=3, help="fleet size")
-            p.add_argument("--epochs", type=int, default=8, help="placement epochs")
             p.add_argument("--shapes", nargs="+",
                            default=["flash_crowd", "diurnal"],
                            help="arrival-trace shapes to sweep")
-            p.add_argument("--policies", nargs="+",
-                           default=["SATORI", "BoPF", "QoSPARTIES"],
-                           help="partitioning policies to compare")
             p.add_argument("--qos-fractions", type=float, nargs="+",
                            default=[0.25],
                            help="qos arrival fractions to sweep")
@@ -1065,15 +951,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--attain-target", type=float, default=0.75,
                            help="windowed attainment a qos job-epoch must "
                                 "reach to avoid a miss event")
-            p.add_argument("--placement", default="slo_aware",
-                           help="placement policy for every cell")
             p.add_argument("--cold-start", action="store_true",
                            help="disable warm starts (the guarantee phase "
                                 "then re-probes every epoch)")
-            p.add_argument("--json", default="",
-                           help="write the JSON report to this path")
-            # for qos, --duration is the per-epoch length
-            p.set_defaults(duration=4.0)
         if extra == "serve":
             p.add_argument("--host", default="127.0.0.1", help="bind address")
             p.add_argument("--port", type=int, default=7300,
@@ -1124,16 +1004,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     trace_dir = getattr(args, "trace_dir", "")
-    if not trace_dir or getattr(args, "handles_trace", False):
-        # Commands with their own collector (obs, resilience, cluster,
-        # broker, warmstart) export the trace themselves.
+    if not trace_dir:
         return args.func(args)
+    import os
+
     from repro.obs import TraceCollector, use_collector
+    from repro.obs.export import write_chrome_trace, write_jsonl, write_prometheus
 
     collector = TraceCollector()
     with use_collector(collector):
         code = args.func(args)
-    _export_trace(collector, trace_dir, f"repro {args.command}")
+    os.makedirs(trace_dir, exist_ok=True)
+    write_jsonl(collector.events, os.path.join(trace_dir, "trace.jsonl"))
+    write_chrome_trace(
+        collector.events,
+        os.path.join(trace_dir, "trace.chrome.json"),
+        process_name=f"repro {args.command}",
+    )
+    write_prometheus(collector.metrics, os.path.join(trace_dir, "metrics.prom"))
+    if getattr(args, "json", None) != "-":  # keep a JSON-on-stdout report clean
+        print(f"\ntrace artifacts written to {trace_dir}/ "
+              f"(trace.jsonl, trace.chrome.json, metrics.prom)")
     return code
 
 

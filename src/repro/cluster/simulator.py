@@ -451,15 +451,12 @@ class ClusterSimulator:
             ``"contention_aware"``).
         policy: partitioning-policy factory id each node runs
             (``"SATORI"``, ``"EqualPartition"``, ...).
-        catalog: per-node resource catalog (homogeneous fleet); pass
-            ``catalogs`` for a heterogeneous one.
-        catalogs: explicit per-node catalogs (overrides ``catalog``).
+        catalog: per-node resource catalog (homogeneous fleet; use
+            ``node_budgets`` for heterogeneous capacity).
         epoch_config: methodology knobs for one node-epoch;
             ``duration_s`` is the epoch length. ``phase_offset_s`` is
             overwritten per epoch to keep workload phases continuous
             across epoch boundaries.
-        policy_kwargs: kwargs for the partitioning-policy factory.
-        goals: ``(throughput_metric, fairness_metric)`` for node runs.
         seed: cluster base seed; node-epoch seeds derive from it and
             the (node, epoch) coordinates only.
         node_fault_plans: optional ``node_id -> FaultPlan`` mapping
@@ -497,8 +494,6 @@ class ClusterSimulator:
             ``None`` disables brokering entirely; budgets then never
             move and records are bit-identical to a ``"static"``
             broker's.
-        broker_kwargs: kwargs for the broker factory when ``broker``
-            is a registry id.
         engine: execution engine for node-epoch batches; defaults to a
             fresh serial engine.
         warm_start: re-inject each node's prior-epoch policy snapshot
@@ -515,9 +510,8 @@ class ClusterSimulator:
             qos-kind jobs. When set, an :class:`~repro.qos.SLOTracker`
             scores every node-epoch's per-interval telemetry, records
             land in ``NodeEpochRecord.slo_attained`` /
-            ``ClusterResult.slo``, per-node ``slo_attainment`` series
-            and a ``cluster.slo_misses`` counter are emitted, and
-            qos-aware partitioning policies (``BoPF``,
+            ``ClusterResult.slo``, a ``cluster.slo_misses`` counter is
+            emitted, and qos-aware partitioning policies (``BoPF``,
             ``QoSPARTIES``) receive the node's qos slot indices and
             the floor via injected kwargs. ``None`` (the default)
             changes nothing — specs, RNG draws, and telemetry are
@@ -531,10 +525,7 @@ class ClusterSimulator:
         placement: Union[str, PlacementPolicy] = "round_robin",
         policy: str = "SATORI",
         catalog: Optional[ResourceCatalog] = None,
-        catalogs: Optional[Sequence[ResourceCatalog]] = None,
         epoch_config: Optional[RunConfig] = None,
-        policy_kwargs: Optional[dict] = None,
-        goals: Tuple[str, str] = ("sum_ips", "jain"),
         seed: int = 0,
         node_fault_plans: Optional[Mapping[int, FaultPlan]] = None,
         fleet_plans: Optional[Mapping[int, NodeFaultPlan]] = None,
@@ -543,27 +534,19 @@ class ClusterSimulator:
         node_capacity: Optional[int] = None,
         node_budgets: Optional[Sequence[BudgetLike]] = None,
         broker: Union[str, "GlobalBroker", None] = None,  # noqa: F821
-        broker_kwargs: Optional[dict] = None,
         engine: Optional[ExecutionEngine] = None,
         warm_start: bool = False,
         qos_slo: Optional[SLOSpec] = None,
     ):
         if n_nodes < 1:
             raise ClusterError(f"a cluster needs at least one node, got {n_nodes}")
-        if catalogs is not None and len(catalogs) != n_nodes:
-            raise ClusterError(
-                f"got {len(catalogs)} catalogs for {n_nodes} nodes"
-            )
-        if catalogs is None:
-            catalogs = [catalog or experiment_catalog()] * n_nodes
+        catalog = catalog or experiment_catalog()
         self._trace = trace
         self._placement = (
             make_placement(placement) if isinstance(placement, str) else placement
         )
         self._policy = policy
-        self._policy_kwargs = dict(policy_kwargs or {})
         self._epoch_config = epoch_config or RunConfig(duration_s=5.0)
-        self._goals = goals
         self._seed = int(seed)
         self._fault_plans = dict(node_fault_plans or {})
         unknown = set(self._fault_plans) - set(range(n_nodes))
@@ -612,10 +595,10 @@ class ClusterSimulator:
         self._nodes = [
             ServerNode(
                 node_id,
-                catalogs[node_id],
+                catalog,
                 capacity=node_capacity,
                 budget=(
-                    coerce_budget(node_budgets[node_id], catalogs[node_id])
+                    coerce_budget(node_budgets[node_id], catalog)
                     if node_budgets is not None
                     else None
                 ),
@@ -632,11 +615,7 @@ class ClusterSimulator:
             # module level.
             from repro.broker import make_broker
 
-            broker = make_broker(broker, **(broker_kwargs or {}))
-        elif broker_kwargs:
-            raise ClusterError(
-                "broker_kwargs only apply when broker is a registry id"
-            )
+            broker = make_broker(broker)
         self._broker = broker
         self._budget_transfers = 0
         self._warm_start = bool(warm_start)
@@ -748,28 +727,25 @@ class ClusterSimulator:
             )
         return views
 
-    def _node_policy_kwargs(self, node: ServerNode) -> dict:
-        """Per-node policy kwargs, with qos context injected when due.
+    def _node_policy_kwargs(self, node: ServerNode) -> Optional[dict]:
+        """Per-node policy kwargs: qos context when due, else ``None``.
 
         When an SLO is active, the partitioning policy is qos-aware
         (see :func:`repro.policies.registry.policy_is_qos_aware`), and
         the node hosts at least one qos job, the factory receives the
         node's qos slot indices and the SLO floor. Everything else —
-        no SLO, unaware policy, all-batch node — gets the shared
-        kwargs object unchanged, so spec digests are bit-identical to
-        a simulator without the feature.
+        no SLO, unaware policy, all-batch node — gets no kwargs, so
+        spec digests are bit-identical to a simulator without the
+        feature.
         """
         if self._qos_slo is None or not policy_is_qos_aware(self._policy):
-            return self._policy_kwargs
+            return None
         qos_slots = tuple(
             slot for slot, kind in enumerate(node.job_kinds) if kind == KIND_QOS
         )
         if not qos_slots:
-            return self._policy_kwargs
-        merged = dict(self._policy_kwargs)
-        merged["qos_jobs"] = qos_slots
-        merged["qos_min_speedup"] = self._qos_slo.min_speedup
-        return merged
+            return None
+        return {"qos_jobs": qos_slots, "qos_min_speedup": self._qos_slo.min_speedup}
 
     # -- SLO scoring -------------------------------------------------------
 
@@ -1135,14 +1111,9 @@ class ClusterSimulator:
         # Membership is final for this epoch — now crashed controllers
         # whose job groups reassembled can be matched for resurrection.
         self._match_resurrections(epoch)
-        config = RunConfig(
-            duration_s=self._epoch_config.duration_s,
-            interval_s=self._epoch_config.interval_s,
-            baseline_reset_s=self._epoch_config.baseline_reset_s,
-            noise_sigma=self._epoch_config.noise_sigma,
+        config = dataclasses.replace(
+            self._epoch_config,
             phase_offset_s=epoch * self._epoch_config.duration_s,
-            warmup_fraction=self._epoch_config.warmup_fraction,
-            actuation_retries=self._epoch_config.actuation_retries,
         )
         specs: List[RunSpec] = []
         spec_nodes: List[ServerNode] = []
@@ -1227,7 +1198,6 @@ class ClusterSimulator:
                     run_config=config,
                     seed=derive_seed(self._seed, "node", node.node_id, "epoch", epoch),
                     policy_kwargs=self._node_policy_kwargs(node),
-                    goals=self._goals,
                     fault_plan=fault_plan,
                     initial_state=initial_state,
                 )
@@ -1499,18 +1469,6 @@ class ClusterSimulator:
         """Whether the arrival trace has been fully replayed."""
         return self._epoch >= self._trace.n_epochs
 
-    @property
-    def _series_prefix(self) -> str:
-        # Sweep cells run sequentially under one collector, so series
-        # names carry the cell coordinates to keep nodes from
-        # interleaving across cells. Broker sweeps share placement and
-        # policy across cells, so the broker name joins the coordinate
-        # (no-broker runs keep the historical prefix).
-        prefix = f"cluster.{self._placement.name}.{self._policy}"
-        if self._broker is not None:
-            prefix += f"@{self._broker.name}"
-        return prefix
-
     def step_epoch(self) -> List[NodeEpochRecord]:
         """Advance the cluster by exactly one placement epoch.
 
@@ -1518,7 +1476,7 @@ class ClusterSimulator:
         (down/rejoin + budget parking), trace departures, optional
         fairness-driven migration, re-placement of drained jobs, new
         arrivals, node-epoch spec execution through the engine,
-        scoring (per-node series + the placement policy's view),
+        scoring (the placement policy's view and SLO misses),
         quarantine, brokering, and the conservation audit.
 
         Callers may interleave their own work between epochs — inspect
@@ -1554,31 +1512,17 @@ class ClusterSimulator:
         return records
 
     def _score_epoch(self, records: Sequence[NodeEpochRecord]) -> None:
-        """Fold an epoch's records into observed views and metric series."""
+        """Fold an epoch's records into observed views and SLO misses."""
         obs = active_collector()
-        series_prefix = self._series_prefix
         for record in records:
             self._observed[record.node_id] = (record.mean_speedup, record.fairness)
-            node_prefix = f"{series_prefix}.node{record.node_id}"
-            obs.metrics.series(f"{node_prefix}.throughput").append(record.throughput)
-            obs.metrics.series(f"{node_prefix}.fairness").append(record.fairness)
-            obs.metrics.series(f"{node_prefix}.occupancy").append(record.n_jobs)
-            if record.budget is not None:
-                obs.metrics.series(f"{node_prefix}.budget_units").append(
-                    record.budget.total_units
-                )
-            if record.slo_attained:
-                values = [value for _, value in record.slo_attained]
-                obs.metrics.series(f"{node_prefix}.slo_attainment").append(
-                    float(np.mean(values))
-                )
-                misses = sum(
-                    1
-                    for value in values
-                    if value < self._qos_slo.attain_target
-                )
-                if misses:
-                    obs.metrics.counter("cluster.slo_misses").inc(misses)
+            misses = sum(
+                1
+                for _, value in record.slo_attained
+                if value < self._qos_slo.attain_target
+            )
+            if misses:
+                obs.metrics.counter("cluster.slo_misses").inc(misses)
 
     def result(self) -> ClusterResult:
         """The cluster-level result over the epochs stepped so far."""

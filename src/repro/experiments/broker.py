@@ -6,8 +6,9 @@ running the same partitioning policy underneath — and compare
 cluster-wide throughput, long-term fairness, and SLO attainment.
 ``static`` is the control cell: bit-identical to the fixed-capacity
 fleet, it answers "what did moving budget units actually buy?" via
-per-job paired deltas (the same trace routes the same jobs, so each
-job is its own control).
+per-job paired deltas (:meth:`~repro.experiments.cluster.FleetSweep.job_deltas`
+against the static cell with the same placement: the same trace
+routes the same jobs, so each job is its own control).
 
 Environment pairing matches :mod:`repro.experiments.cluster`: the
 trace, node-keyed fault plans, and node-epoch seeds are shared
@@ -17,124 +18,17 @@ the broker (and placement), not to workload or fault luck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.analysis.stats import PairedDelta, paired_deltas
-from repro.broker import broker_names
 from repro.cluster.budget import BudgetLike
-from repro.cluster.simulator import ClusterResult, ClusterSimulator
 from repro.engine import ExecutionEngine
-from repro.errors import ClusterError, ExperimentError
-from repro.experiments.cluster import node_fault_plans
-from repro.experiments.runner import RunConfig, experiment_catalog
+from repro.experiments.cluster import FleetSweep, node_fault_plans, run_fleet
+from repro.experiments.runner import RunConfig
 from repro.resources.types import ResourceCatalog
 from repro.workloads.arrivals import ArrivalTrace
 
 #: Broker schemes the default sweep compares (``static`` is the control).
 DEFAULT_BROKERS: Tuple[str, ...] = ("static", "harvest", "trade", "bo")
-
-#: The speedup threshold a job must retain to "make its SLO".
-DEFAULT_SLO_THRESHOLD = 0.8
-
-
-@dataclass(frozen=True)
-class BrokerCell:
-    """One (broker scheme, placement policy) cell of the sweep."""
-
-    broker: str
-    placement: str
-    result: ClusterResult
-
-
-@dataclass(frozen=True)
-class BrokerDelta:
-    """One broker cell's paired comparison against its static control.
-
-    Attributes:
-        broker / placement: the treatment cell's coordinates.
-        speedup: per-job paired speedup deltas (treatment - control),
-            with a confidence interval on the mean difference.
-        fairness_delta: cluster fairness (Jain over per-job means),
-            treatment minus control.
-        throughput_delta: cluster mean speedup, treatment minus control.
-        slo_delta: SLO attainment fraction, treatment minus control.
-        budget_transfers: units the treatment broker moved in total.
-    """
-
-    broker: str
-    placement: str
-    speedup: PairedDelta
-    fairness_delta: float
-    throughput_delta: float
-    slo_delta: float
-    budget_transfers: int
-
-
-@dataclass(frozen=True)
-class BrokerSweepResult:
-    """The full broker x placement sweep over one shared trace."""
-
-    n_nodes: int
-    n_epochs: int
-    n_jobs: int
-    policy: str
-    slo_threshold: float
-    cells: Tuple[BrokerCell, ...]
-
-    def cell(self, broker: str, placement: str) -> BrokerCell:
-        for cell in self.cells:
-            if cell.broker == broker and cell.placement == placement:
-                return cell
-        have = sorted({(c.broker, c.placement) for c in self.cells})
-        raise ClusterError(f"no cell ({broker!r}, {placement!r}); have {have}")
-
-    def brokers(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for cell in self.cells:
-            if cell.broker not in seen:
-                seen.append(cell.broker)
-        return tuple(seen)
-
-    def placements(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for cell in self.cells:
-            if cell.placement not in seen:
-                seen.append(cell.placement)
-        return tuple(seen)
-
-    def deltas_vs_static(self) -> List[BrokerDelta]:
-        """Every non-static cell paired against the static control with
-        the same placement. Requires ``"static"`` in the sweep."""
-        deltas: List[BrokerDelta] = []
-        for cell in self.cells:
-            if cell.broker == "static":
-                continue
-            control = self.cell("static", cell.placement)
-            try:
-                speedup = paired_deltas(
-                    control.result.job_mean_speedups(),
-                    cell.result.job_mean_speedups(),
-                )
-            except ExperimentError:
-                continue  # too few paired jobs (tiny traces)
-            deltas.append(
-                BrokerDelta(
-                    broker=cell.broker,
-                    placement=cell.placement,
-                    speedup=speedup,
-                    fairness_delta=cell.result.fairness - control.result.fairness,
-                    throughput_delta=(
-                        cell.result.mean_speedup - control.result.mean_speedup
-                    ),
-                    slo_delta=(
-                        cell.result.slo_attainment(self.slo_threshold)
-                        - control.result.slo_attainment(self.slo_threshold)
-                    ),
-                    budget_transfers=cell.result.budget_transfers,
-                )
-            )
-        return deltas
 
 
 def broker_sweep(
@@ -148,16 +42,18 @@ def broker_sweep(
     seed: int = 0,
     fault_intensity: float = 0.0,
     node_budgets: Optional[Sequence[BudgetLike]] = None,
-    slo_threshold: float = DEFAULT_SLO_THRESHOLD,
     engine: Optional[ExecutionEngine] = None,
-) -> BrokerSweepResult:
+) -> FleetSweep:
     """Run every (broker x placement) cell over one shared trace.
+
+    Cells carry ``placement`` and ``broker`` coordinates, placements
+    outermost.
 
     Args:
         trace: the arrival trace, shared verbatim by every cell.
         n_nodes: fleet size.
         brokers: broker-scheme registry ids to compare; include
-            ``"static"`` to enable :meth:`BrokerSweepResult.deltas_vs_static`.
+            ``"static"`` for the paired control.
         placements: placement-policy registry ids to cross with.
         policy: the partitioning policy every node runs in every cell
             (one local policy — the sweep varies the *global* layer).
@@ -170,51 +66,27 @@ def broker_sweep(
             (node-keyed, so every cell faces the same faulty fleet).
         node_budgets: optional per-node initial budgets (heterogeneous
             fleets); every cell starts from the same budgets.
-        slo_threshold: per-job mean-speedup threshold for SLO
-            attainment reporting.
         engine: shared execution engine across cells (run-cache reuse:
             the static cell's node-epochs are byte-identical to a
             fixed-capacity fleet's and dedupe against them).
     """
-    if not brokers:
-        raise ClusterError("need at least one broker scheme")
-    unknown = set(brokers) - set(broker_names())
-    if unknown:
-        raise ClusterError(
-            f"unknown broker scheme(s) {sorted(unknown)}; "
-            f"registered: {', '.join(broker_names())}"
-        )
-    if not placements:
-        raise ClusterError("need at least one placement policy")
-    catalog = catalog or experiment_catalog()
     epoch_config = epoch_config or RunConfig(duration_s=5.0)
-    engine = engine or ExecutionEngine()
-    plans = node_fault_plans(n_nodes, fault_intensity, epoch_config.duration_s)
-
-    cells: List[BrokerCell] = []
+    arms = []
     for placement in placements:
         for broker in brokers:
-            simulator = ClusterSimulator(
-                trace,
-                n_nodes=n_nodes,
-                placement=placement,  # fresh instance per cell (stateful)
-                policy=policy,
-                catalog=catalog,
-                epoch_config=epoch_config,
-                seed=seed,
-                node_fault_plans=plans,
-                node_budgets=node_budgets,
-                broker=broker,  # fresh instance per cell (stateful)
-                engine=engine,
-            )
-            cells.append(
-                BrokerCell(broker=broker, placement=placement, result=simulator.run())
-            )
-    return BrokerSweepResult(
+            coords = {"placement": placement, "broker": broker}
+            arms.append((coords, coords))
+    return run_fleet(
+        arms,
+        trace=trace,
         n_nodes=n_nodes,
-        n_epochs=trace.n_epochs,
-        n_jobs=len(trace),
         policy=policy,
-        slo_threshold=slo_threshold,
-        cells=tuple(cells),
+        catalog=catalog,
+        epoch_config=epoch_config,
+        seed=seed,
+        node_fault_plans=node_fault_plans(
+            n_nodes, fault_intensity, epoch_config.duration_s
+        ),
+        node_budgets=node_budgets,
+        engine=engine,
     )

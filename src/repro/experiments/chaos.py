@@ -26,6 +26,7 @@ rewarding the arm that loses the most work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import (
@@ -33,13 +34,12 @@ from repro.cluster import (
     EVT_NODE_DOWN,
     EVT_NODE_QUARANTINED,
     ClusterResult,
-    ClusterSimulator,
     RecoveryConfig,
-    pool_totals,
 )
 from repro.engine import ExecutionEngine
 from repro.errors import ClusterError
-from repro.experiments.runner import RunConfig, experiment_catalog
+from repro.experiments.cluster import FleetCell, FleetSweep, run_fleet
+from repro.experiments.runner import RunConfig
 from repro.faults.nodes import NodeFaultPlan
 from repro.metrics.fairness import jain_index
 from repro.resources.types import ResourceCatalog
@@ -182,7 +182,7 @@ def recovery_intervals(
 
 @dataclass(frozen=True)
 class ChaosArm:
-    """One arm of the paired sweep (recovery on or off).
+    """One arm of the paired sweep (recovery on or off), scored.
 
     Attributes:
         name: ``"recovery"`` or ``"no_recovery"``.
@@ -205,6 +205,32 @@ class ChaosArm:
     recovery_intervals: Dict[int, Optional[int]]
     replacement_latency_epochs: float
     pool_conserved: bool
+
+    @classmethod
+    def score(cls, cell: FleetCell) -> "ChaosArm":
+        """Score one chaos sweep cell (coordinate ``arm``)."""
+        result = cell.result
+        fairness = adjusted_epoch_fairness(result, cell.trace)
+        disruptions = tuple(
+            sorted(
+                {
+                    event.epoch
+                    for event in result.fleet_events
+                    if event.kind in (EVT_NODE_DOWN, EVT_NODE_QUARANTINED)
+                }
+            )
+        )
+        values = [v for v in fairness.values() if v == v]
+        latency = result.displaced_job_epochs / max(1, result.replacements)
+        return cls(
+            name=cell.coords["arm"],
+            result=result,
+            fairness=sum(values) / len(values) if values else float("nan"),
+            epoch_fairness=fairness,
+            recovery_intervals=recovery_intervals(fairness, disruptions),
+            replacement_latency_epochs=float(latency),
+            pool_conserved=cell.pool_conserved,
+        )
 
     @property
     def jobs_lost(self) -> int:
@@ -240,34 +266,47 @@ class ChaosArm:
 class ChaosReport:
     """The paired chaos sweep: identical weather, recovery on vs off."""
 
-    n_nodes: int
-    n_epochs: int
     seed: int
-    placement: str
-    policy: str
-    disruption_epochs: Tuple[int, ...]
-    recovery: ChaosArm
-    ablation: ChaosArm
+    sweep: FleetSweep
+
+    @cached_property
+    def recovery(self) -> ChaosArm:
+        return ChaosArm.score(self.sweep.cell(arm="recovery"))
+
+    @cached_property
+    def ablation(self) -> ChaosArm:
+        return ChaosArm.score(self.sweep.cell(arm="no_recovery"))
 
     @property
     def arms(self) -> Tuple[ChaosArm, ChaosArm]:
         return (self.recovery, self.ablation)
 
+    @property
+    def disruption_epochs(self) -> Tuple[int, ...]:
+        return tuple(
+            sorted(
+                set(self.recovery.recovery_intervals)
+                | set(self.ablation.recovery_intervals)
+            )
+        )
+
     def to_dict(self) -> dict:
+        result = self.recovery.result
         return {
-            "n_nodes": self.n_nodes,
-            "n_epochs": self.n_epochs,
+            "n_nodes": result.n_nodes,
+            "n_epochs": result.n_epochs,
             "seed": self.seed,
-            "placement": self.placement,
-            "policy": self.policy,
+            "placement": result.placement,
+            "policy": result.policy,
             "disruption_epochs": list(self.disruption_epochs),
             "arms": {arm.name: arm.to_dict() for arm in self.arms},
         }
 
     def summary(self) -> str:
+        result = self.recovery.result
         lines = [
-            f"chaos sweep: {self.n_nodes} node(s), {self.n_epochs} epoch(s), "
-            f"{self.placement}/{self.policy}, "
+            f"chaos sweep: {result.n_nodes} node(s), {result.n_epochs} epoch(s), "
+            f"{result.placement}/{result.policy}, "
             f"disruptions at {list(self.disruption_epochs)}",
         ]
         for arm in self.arms:
@@ -286,56 +325,6 @@ class ChaosReport:
                 f"recovery: {intervals}"
             )
         return "\n".join(lines)
-
-
-def _run_arm(
-    name: str,
-    trace: ArrivalTrace,
-    n_nodes: int,
-    fleet_plans: Dict[int, NodeFaultPlan],
-    placement: str,
-    policy: str,
-    catalog: ResourceCatalog,
-    epoch_config: RunConfig,
-    seed: int,
-    recovery: Optional[RecoveryConfig],
-    engine: ExecutionEngine,
-) -> ChaosArm:
-    simulator = ClusterSimulator(
-        trace,
-        n_nodes=n_nodes,
-        placement=placement,  # fresh instance per arm (stateful)
-        policy=policy,
-        catalog=catalog,
-        epoch_config=epoch_config,
-        seed=seed,
-        fleet_plans=fleet_plans,
-        recovery=recovery,
-        engine=engine,
-    )
-    result = simulator.run()
-    totals = pool_totals(node.budget for node in simulator.nodes)
-    fairness = adjusted_epoch_fairness(result, trace)
-    disruptions = tuple(
-        sorted(
-            {
-                event.epoch
-                for event in result.fleet_events
-                if event.kind in (EVT_NODE_DOWN, EVT_NODE_QUARANTINED)
-            }
-        )
-    )
-    values = [v for v in fairness.values() if v == v]
-    latency = result.displaced_job_epochs / max(1, result.replacements)
-    return ChaosArm(
-        name=name,
-        result=result,
-        fairness=sum(values) / len(values) if values else float("nan"),
-        epoch_fairness=fairness,
-        recovery_intervals=recovery_intervals(fairness, disruptions),
-        replacement_latency_epochs=float(latency),
-        pool_conserved=totals == simulator.pool,
-    )
 
 
 def chaos_sweep(
@@ -372,35 +361,19 @@ def chaos_sweep(
     """
     if not fleet_plans:
         raise ClusterError("chaos sweep needs at least one fleet fault plan")
-    catalog = catalog or experiment_catalog()
-    epoch_config = epoch_config or RunConfig(duration_s=5.0)
-    engine = engine or ExecutionEngine()
-    recovery = recovery or RecoveryConfig()
-    common = dict(
+    sweep = run_fleet(
+        [
+            ({"arm": "recovery"}, {"recovery": recovery or RecoveryConfig()}),
+            ({"arm": "no_recovery"}, {"recovery": None}),
+        ],
         trace=trace,
         n_nodes=n_nodes,
         fleet_plans=fleet_plans,
         placement=placement,
         policy=policy,
         catalog=catalog,
-        epoch_config=epoch_config,
+        epoch_config=epoch_config or RunConfig(duration_s=5.0),
         seed=seed,
         engine=engine,
     )
-    recovery_arm = _run_arm("recovery", recovery=recovery, **common)
-    ablation_arm = _run_arm("no_recovery", recovery=None, **common)
-    disruptions = tuple(
-        sorted(
-            set(recovery_arm.recovery_intervals) | set(ablation_arm.recovery_intervals)
-        )
-    )
-    return ChaosReport(
-        n_nodes=n_nodes,
-        n_epochs=trace.n_epochs,
-        seed=seed,
-        placement=placement,
-        policy=policy,
-        disruption_epochs=disruptions,
-        recovery=recovery_arm,
-        ablation=ablation_arm,
-    )
+    return ChaosReport(seed=seed, sweep=sweep)

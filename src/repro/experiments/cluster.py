@@ -1,11 +1,15 @@
-"""Cluster experiment: placement x partitioning-policy sweep.
+"""Fleet sweeps: paired cluster arms over one shared environment.
 
-The fleet-level analogue of the comparison driver: replay *one* job
-arrival trace against every (placement policy x partitioning policy)
-cell and compare cluster-wide throughput/fairness. Everything that is
-*environment* — the trace, per-node fault plans, node-epoch seeds — is
-shared verbatim across cells, so observed differences are attributable
-to the policies, not to workload or fault luck.
+Every fleet-level experiment compares *arms* — cluster runs that
+differ in placement, partitioning policy, broker, recovery protocol,
+warm start or trace shape — over one shared environment: the arrival
+trace, node-keyed fault plans and node-epoch seeds. :func:`run_fleet`
+is the one driver: an arm is ``(coordinates, ClusterSimulator
+overrides)``, every arm runs in the listed order on one shared
+engine, and the resulting :class:`FleetSweep` looks cells up by
+coordinate. :func:`cluster_sweep` (placement x partitioning policy)
+is the plain arm grid; the broker, chaos, qos and warm-start
+experiments are arm lists over the same driver.
 
 Fault pairing: when ``fault_intensity > 0``, every *even-numbered*
 node gets the same :func:`~repro.experiments.resilience.moderate_fault_plan`
@@ -20,12 +24,13 @@ instead of confounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cluster.budget import BudgetLike
+from repro.analysis.stats import PairedDelta, paired_deltas
+from repro.cluster.budget import BudgetLike, pool_totals
 from repro.cluster.simulator import ClusterResult, ClusterSimulator, MigrationConfig
 from repro.engine import ExecutionEngine
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ExperimentError
 from repro.experiments.resilience import moderate_fault_plan
 from repro.experiments.runner import RunConfig, experiment_catalog
 from repro.faults.plan import FaultPlan
@@ -37,6 +42,9 @@ DEFAULT_PLACEMENTS: Tuple[str, ...] = ("round_robin", "contention_aware")
 
 #: Partitioning policies the default sweep compares (registry ids).
 DEFAULT_CLUSTER_POLICIES: Tuple[str, ...] = ("SATORI", "EqualPartition")
+
+#: One sweep arm: ``(coordinates, ClusterSimulator keyword overrides)``.
+Arm = Tuple[Mapping[str, Any], Mapping[str, Any]]
 
 
 def node_fault_plans(
@@ -56,44 +64,118 @@ def node_fault_plans(
 
 
 @dataclass(frozen=True)
-class ClusterCell:
-    """One (placement, partitioning policy) cell of the sweep."""
+class FleetCell:
+    """One arm's run.
 
-    placement: str
-    policy: str
+    Attributes:
+        coords: the arm's coordinates (``{"placement": ..., ...}``).
+        result: the full cluster result.
+        trace: the arrival trace the arm replayed.
+        pool_conserved: the nodes' budgets summed to the
+            construction-time pool after the run.
+    """
+
+    coords: Mapping[str, Any]
     result: ClusterResult
+    trace: ArrivalTrace
+    pool_conserved: bool
 
 
 @dataclass(frozen=True)
-class ClusterSweepResult:
-    """The full sweep over one shared arrival trace."""
+class FleetSweep:
+    """Every arm of one sweep, in run order."""
 
-    n_nodes: int
-    n_epochs: int
-    n_jobs: int
-    peak_jobs: int
-    cells: Tuple[ClusterCell, ...]
+    cells: Tuple[FleetCell, ...]
 
-    def cell(self, placement: str, policy: str) -> ClusterCell:
-        for cell in self.cells:
-            if cell.placement == placement and cell.policy == policy:
-                return cell
-        have = sorted({(c.placement, c.policy) for c in self.cells})
-        raise ClusterError(f"no cell ({placement!r}, {policy!r}); have {have}")
+    def cell(self, **coords: Any) -> FleetCell:
+        """The one cell at ``coords`` (a subset of its coordinates)."""
+        matches = [
+            cell
+            for cell in self.cells
+            if all(k in cell.coords and cell.coords[k] == v for k, v in coords.items())
+        ]
+        if len(matches) != 1:
+            have = [dict(cell.coords) for cell in self.cells]
+            raise ClusterError(
+                f"{len(matches)} cells match {coords}, need one; have {have}"
+                if matches
+                else f"no cell {coords}; have {have}"
+            )
+        return matches[0]
 
-    def placements(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for cell in self.cells:
-            if cell.placement not in seen:
-                seen.append(cell.placement)
-        return tuple(seen)
+    def axis(self, name: str) -> Tuple[Any, ...]:
+        """Distinct values of coordinate ``name``, in run order."""
+        return tuple(dict.fromkeys(cell.coords[name] for cell in self.cells))
 
-    def policies(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for cell in self.cells:
-            if cell.policy not in seen:
-                seen.append(cell.policy)
-        return tuple(seen)
+    def job_deltas(
+        self, axis: str, base: Any = None
+    ) -> List[Tuple[FleetCell, FleetCell, PairedDelta]]:
+        """Per-job mean-speedup deltas between cells differing only in ``axis``.
+
+        Arms share the trace, so job ids are stable across cells and
+        each job is its own control. Returns ``(control, treatment,
+        treatment - control)`` triples: with ``base``, each cell pairs
+        against its sibling at ``axis == base``; with ``base=None``,
+        every sibling pair pairs in run order (the earlier cell is the
+        control). Pairs with no job in common are skipped.
+        """
+        deltas = []
+        for i, first in enumerate(self.cells):
+            for second in self.cells[i + 1:]:
+                if any(
+                    first.coords[k] != second.coords[k]
+                    for k in first.coords
+                    if k != axis
+                ):
+                    continue
+                control, treatment = first, second
+                if base is not None and first.coords[axis] != base:
+                    if second.coords[axis] != base:
+                        continue
+                    control, treatment = second, first
+                try:
+                    delta = paired_deltas(
+                        control.result.job_mean_speedups(),
+                        treatment.result.job_mean_speedups(),
+                    )
+                except ExperimentError:
+                    continue  # no job in common (tiny traces)
+                deltas.append((control, treatment, delta))
+        return deltas
+
+
+def run_fleet(arms: Sequence[Arm], **shared: Any) -> FleetSweep:
+    """Run every arm's :class:`ClusterSimulator` over one shared engine.
+
+    Each arm's simulator takes ``shared`` updated by the arm's
+    overrides. Every simulator is built before any runs, so a bad arm
+    fails before the sweep spends time; they then run in the listed
+    order on one engine (``shared["engine"]`` or a fresh serial one),
+    so an engine with a run cache runs each node-epoch that several
+    arms produce identically once. Registry ids for placements and
+    brokers give each arm a fresh (stateful) instance.
+    """
+    if not arms:
+        raise ClusterError("a fleet sweep needs at least one arm")
+    engine = shared.get("engine") or ExecutionEngine()
+    runs = []
+    for coords, overrides in arms:
+        kwargs = {**shared, "engine": engine, **overrides}
+        runs.append((coords, kwargs["trace"], ClusterSimulator(**kwargs)))
+    cells = []
+    for coords, trace, simulator in runs:
+        cells.append(
+            FleetCell(
+                coords=dict(coords),
+                result=simulator.run(),
+                trace=trace,
+                pool_conserved=(
+                    pool_totals(node.budget for node in simulator.nodes)
+                    == simulator.pool
+                ),
+            )
+        )
+    return FleetSweep(tuple(cells))
 
 
 def cluster_sweep(
@@ -109,8 +191,10 @@ def cluster_sweep(
     node_budgets: Optional[Sequence[BudgetLike]] = None,
     engine: Optional[ExecutionEngine] = None,
     warm_start: bool = False,
-) -> ClusterSweepResult:
+) -> FleetSweep:
     """Run every (placement x policy) cell over one shared trace.
+
+    Cells carry ``placement`` and ``policy`` coordinates.
 
     Args:
         trace: the arrival trace, shared verbatim by every cell.
@@ -128,48 +212,31 @@ def cluster_sweep(
         node_budgets: optional per-node initial budgets (heterogeneous
             fleets) — every cell starts from the same budgets; see
             :class:`~repro.cluster.simulator.ClusterSimulator`.
-        engine: shared execution engine — one engine across all cells
-            lets the run cache deduplicate node-epochs that different
-            placements happen to produce identically.
+        engine: shared execution engine (see :func:`run_fleet`).
         warm_start: warm-start membership-stable node controllers from
             their prior-epoch snapshots in every cell (see
             :class:`~repro.cluster.simulator.ClusterSimulator`).
     """
-    if not placements:
-        raise ClusterError("need at least one placement policy")
-    if not policies:
-        raise ClusterError("need at least one partitioning policy")
-    catalog = catalog or experiment_catalog()
     epoch_config = epoch_config or RunConfig(duration_s=5.0)
-    engine = engine or ExecutionEngine()
-    plans = node_fault_plans(n_nodes, fault_intensity, epoch_config.duration_s)
-
-    cells: List[ClusterCell] = []
+    arms = []
     for placement in placements:
         for policy in policies:
-            simulator = ClusterSimulator(
-                trace,
-                n_nodes=n_nodes,
-                placement=placement,  # fresh instance per cell (stateful)
-                policy=policy,
-                catalog=catalog,
-                epoch_config=epoch_config,
-                seed=seed,
-                node_fault_plans=plans,
-                migration=migration,
-                node_budgets=node_budgets,
-                engine=engine,
-                warm_start=warm_start,
-            )
-            cells.append(
-                ClusterCell(placement=placement, policy=policy, result=simulator.run())
-            )
-    return ClusterSweepResult(
+            coords = {"placement": placement, "policy": policy}
+            arms.append((coords, coords))
+    return run_fleet(
+        arms,
+        trace=trace,
         n_nodes=n_nodes,
-        n_epochs=trace.n_epochs,
-        n_jobs=len(trace),
-        peak_jobs=trace.peak_jobs,
-        cells=tuple(cells),
+        catalog=catalog,
+        epoch_config=epoch_config,
+        seed=seed,
+        node_fault_plans=node_fault_plans(
+            n_nodes, fault_intensity, epoch_config.duration_s
+        ),
+        migration=migration,
+        node_budgets=node_budgets,
+        engine=engine,
+        warm_start=warm_start,
     )
 
 

@@ -26,8 +26,9 @@ Two layers share this module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +42,8 @@ from repro.policies.static import EqualPartitionPolicy
 from repro.qos.slo import SLOSpec
 from repro.resources.types import ResourceCatalog
 from repro.rng import SeedLike, make_rng, spawn_rng
+from repro.experiments.chaos import adjusted_epoch_fairness
+from repro.experiments.cluster import FleetCell, FleetSweep, run_fleet
 from repro.experiments.comparison import full_space
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import RunConfig, run_policy, experiment_catalog
@@ -185,6 +188,28 @@ class QosCell:
     qos_jobs: int
     misses: int
 
+    @classmethod
+    def score(cls, cell: FleetCell) -> "QosCell":
+        """Score one qos sweep cell."""
+        result = cell.result
+        adjusted = [
+            value
+            for value in adjusted_epoch_fairness(result, cell.trace).values()
+            if value == value  # skip NaN (empty) epochs
+        ]
+        return cls(
+            shape=cell.coords["shape"],
+            policy=cell.coords["policy"],
+            qos_fraction=cell.coords["qos_fraction"],
+            trace_seed=cell.coords["trace_seed"],
+            attainment=result.qos_attainment(),
+            miss_rate=result.qos_miss_rate(),
+            fairness=float(np.mean(adjusted)) if adjusted else 1.0,
+            throughput=result.throughput,
+            qos_jobs=result.slo.qos_jobs if result.slo is not None else 0,
+            misses=len(result.slo.misses) if result.slo is not None else 0,
+        )
+
     def to_dict(self) -> Dict:
         return {
             "shape": self.shape,
@@ -205,14 +230,36 @@ class QosSweepReport:
     """The paired SLO sweep over every (shape x qos_fraction x policy) cell."""
 
     slo: SLOSpec
-    n_nodes: int
-    n_epochs: int
     epoch_seconds: float
-    shapes: Tuple[str, ...]
-    policies: Tuple[str, ...]
-    qos_fractions: Tuple[float, ...]
-    trace_seeds: Tuple[int, ...]
-    cells: Tuple[QosCell, ...] = field(default_factory=tuple)
+    sweep: FleetSweep
+
+    @cached_property
+    def cells(self) -> Tuple[QosCell, ...]:
+        return tuple(QosCell.score(cell) for cell in self.sweep.cells)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.sweep.cells[0].result.n_nodes
+
+    @property
+    def n_epochs(self) -> int:
+        return self.sweep.cells[0].result.n_epochs
+
+    @property
+    def shapes(self) -> Tuple[str, ...]:
+        return self.sweep.axis("shape")
+
+    @property
+    def policies(self) -> Tuple[str, ...]:
+        return self.sweep.axis("policy")
+
+    @property
+    def qos_fractions(self) -> Tuple[float, ...]:
+        return self.sweep.axis("qos_fraction")
+
+    @property
+    def trace_seeds(self) -> Tuple[int, ...]:
+        return self.sweep.axis("trace_seed")
 
     def cells_for(
         self,
@@ -364,23 +411,9 @@ def qos_sweep(
     across membership-stable epochs is what gives the flash-crowd's
     post-burst epochs a trained model to tilt.
     """
-    from repro.cluster.simulator import ClusterSimulator
-    from repro.experiments.chaos import adjusted_epoch_fairness
-
-    if not shapes:
-        raise ExperimentError("need at least one trace shape")
-    if not policies:
-        raise ExperimentError("need at least one policy")
-    if not qos_fractions:
-        raise ExperimentError("need at least one qos_fraction")
-    if not trace_seeds:
-        raise ExperimentError("need at least one trace seed")
     slo = slo or DEFAULT_QOS_SLO
-    catalog = catalog or experiment_catalog()
     epoch_config = epoch_config or RunConfig(duration_s=4.0)
-    engine = engine or ExecutionEngine()
-
-    cells: List[QosCell] = []
+    arms = []
     for shape in shapes:
         for qos_fraction in qos_fractions:
             for trace_seed in trace_seeds:
@@ -391,52 +424,26 @@ def qos_sweep(
                     seed=trace_seed,
                 )
                 for policy in policies:
-                    simulator = ClusterSimulator(
-                        trace,
-                        n_nodes=n_nodes,
-                        placement=placement,
-                        policy=policy,
-                        catalog=catalog,
-                        epoch_config=epoch_config,
-                        seed=trace_seed + seed_offset,
-                        warm_start=warm_start,
-                        qos_slo=slo,
-                        engine=engine,
-                    )
-                    result = simulator.run()
-                    adjusted = [
-                        value
-                        for value in adjusted_epoch_fairness(result, trace).values()
-                        if value == value  # skip NaN (empty) epochs
-                    ]
-                    cells.append(
-                        QosCell(
-                            shape=shape,
-                            policy=policy,
-                            qos_fraction=qos_fraction,
-                            trace_seed=trace_seed,
-                            attainment=result.qos_attainment(),
-                            miss_rate=result.qos_miss_rate(),
-                            fairness=(
-                                float(np.mean(adjusted)) if adjusted else 1.0
-                            ),
-                            throughput=result.throughput,
-                            qos_jobs=(
-                                result.slo.qos_jobs if result.slo is not None else 0
-                            ),
-                            misses=(
-                                len(result.slo.misses) if result.slo is not None else 0
-                            ),
-                        )
-                    )
-    return QosSweepReport(
-        slo=slo,
+                    coords = {
+                        "shape": shape,
+                        "qos_fraction": float(qos_fraction),
+                        "trace_seed": int(trace_seed),
+                        "policy": policy,
+                    }
+                    overrides = {
+                        "trace": trace,
+                        "seed": trace_seed + seed_offset,
+                        "policy": policy,
+                    }
+                    arms.append((coords, overrides))
+    sweep = run_fleet(
+        arms,
         n_nodes=n_nodes,
-        n_epochs=n_epochs,
-        epoch_seconds=epoch_config.duration_s,
-        shapes=tuple(shapes),
-        policies=tuple(policies),
-        qos_fractions=tuple(float(f) for f in qos_fractions),
-        trace_seeds=tuple(int(s) for s in trace_seeds),
-        cells=tuple(cells),
+        placement=placement,
+        catalog=catalog,
+        epoch_config=epoch_config,
+        warm_start=warm_start,
+        qos_slo=slo,
+        engine=engine,
     )
+    return QosSweepReport(slo=slo, epoch_seconds=epoch_config.duration_s, sweep=sweep)

@@ -33,15 +33,18 @@ boundaries. This experiment quantifies exactly that, at two scales:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.stats import PairedDelta, confidence_interval, paired_deltas
-from repro.cluster.simulator import ClusterResult, ClusterSimulator
+from repro.cluster.simulator import ClusterResult
 from repro.engine import ExecutionEngine, RunSpec
 from repro.errors import ExperimentError
+from repro.experiments.cluster import FleetSweep, run_fleet
 from repro.experiments.runner import RunConfig, RunResult, experiment_catalog
 from repro.resources.types import ResourceCatalog
 from repro.workloads.arrivals import ArrivalTrace, poisson_trace
@@ -179,20 +182,13 @@ def adaptation_sweep(
     engine = engine or ExecutionEngine()
 
     def _spec(mix: JobMix, epoch: int, initial_state=None) -> RunSpec:
-        config = RunConfig(
-            duration_s=run_config.duration_s,
-            interval_s=run_config.interval_s,
-            baseline_reset_s=run_config.baseline_reset_s,
-            noise_sigma=run_config.noise_sigma,
-            phase_offset_s=epoch * run_config.duration_s,
-            warmup_fraction=run_config.warmup_fraction,
-            actuation_retries=run_config.actuation_retries,
-        )
         return RunSpec(
             mix=mix,
             policy=policy,
             catalog=catalog,
-            run_config=config,
+            run_config=dataclasses.replace(
+                run_config, phase_offset_s=epoch * run_config.duration_s
+            ),
             seed=seed,
             initial_state=initial_state,
         )
@@ -226,13 +222,34 @@ def adaptation_sweep(
 
 @dataclass(frozen=True)
 class WarmstartClusterComparison:
-    """Cold vs warm cluster replays of one trace (paired by design)."""
+    """Cold vs warm cluster replays of one trace (paired by design).
 
-    cold: ClusterResult
-    warm: ClusterResult
-    job_speedup_delta: PairedDelta
-    warm_started_epochs: int
+    ``sweep`` holds the two arms, coordinate ``warm_start`` ``False``
+    and ``True``.
+    """
+
+    sweep: FleetSweep
     smoothing_window: int = 10
+
+    @property
+    def cold(self) -> ClusterResult:
+        return self.sweep.cell(warm_start=False).result
+
+    @property
+    def warm(self) -> ClusterResult:
+        return self.sweep.cell(warm_start=True).result
+
+    @cached_property
+    def job_speedup_delta(self) -> PairedDelta:
+        """Per-job mean-speedup deltas, warm minus cold."""
+        pairs = self.sweep.job_deltas("warm_start", base=False)
+        if not pairs:
+            raise ExperimentError("cold and warm replays share no job")
+        return pairs[0][2]
+
+    @property
+    def warm_started_epochs(self) -> int:
+        return sum(1 for r in self.warm.records if r.warm_started)
 
     def node_epoch_fairness_delta(self) -> PairedDelta:
         """Warm minus cold fairness over paired simulated node-epochs."""
@@ -369,9 +386,7 @@ def cluster_warmstart(
     warm starts only fire on membership-stable epoch boundaries, so
     churny short traces yield too few pairs to measure anything.
     """
-    catalog = catalog or experiment_catalog()
     epoch_config = epoch_config or RunConfig(duration_s=4.0, baseline_reset_s=2.0)
-    engine = engine or ExecutionEngine()
     if trace is None:
         trace = poisson_trace(
             n_epochs=n_epochs,
@@ -382,27 +397,19 @@ def cluster_warmstart(
             initial_jobs=2 * n_nodes,
         )
 
-    def _run(warm: bool) -> ClusterResult:
-        return ClusterSimulator(
-            trace,
-            n_nodes=n_nodes,
-            placement="round_robin",
-            policy=policy,
-            catalog=catalog,
-            epoch_config=epoch_config,
-            seed=seed,
-            engine=engine,
-            warm_start=warm,
-        ).run()
-
-    cold, warm = _run(False), _run(True)
+    sweep = run_fleet(
+        [({"warm_start": warm}, {"warm_start": warm}) for warm in (False, True)],
+        trace=trace,
+        n_nodes=n_nodes,
+        placement="round_robin",
+        policy=policy,
+        catalog=catalog,
+        epoch_config=epoch_config,
+        seed=seed,
+        engine=engine,
+    )
     return WarmstartClusterComparison(
-        cold=cold,
-        warm=warm,
-        job_speedup_delta=paired_deltas(
-            cold.job_mean_speedups(), warm.job_mean_speedups()
-        ),
-        warm_started_epochs=sum(1 for r in warm.records if r.warm_started),
+        sweep=sweep,
         smoothing_window=max(1, round(1.0 / epoch_config.interval_s)),
     )
 

@@ -9,8 +9,8 @@ from repro.analysis.plots import (
     line_chart,
     sparkline,
 )
+from repro.cluster.simulator import ClusterResult, NodeEpochRecord
 from repro.errors import ExperimentError
-from repro.obs import MetricRegistry
 
 
 class TestSparkline:
@@ -62,56 +62,82 @@ class TestBarChart:
         assert chart.count("█") == 10
 
 
+def _result(series, placement="round_robin", policy="SATORI", broker="none",
+            slo=None):
+    """A hand-built cluster result: ``series`` maps node -> per-epoch
+    throughput (fairness follows throughput; occupancy is 2 jobs)."""
+    records = []
+    for node, values in series.items():
+        for epoch, value in enumerate(values):
+            records.append(NodeEpochRecord(
+                epoch=epoch, node_id=node, job_ids=(1, 2), synthesized=False,
+                throughput=value, fairness=value,
+                slo_attained=((1, slo[node]),) if slo and node in slo else (),
+            ))
+    return ClusterResult(
+        n_nodes=len(series), policy=policy, placement=placement,
+        n_epochs=max(len(v) for v in series.values()),
+        records=tuple(records), broker=broker,
+    )
+
+
 class TestClusterNodeDashboard:
     @staticmethod
-    def registry():
-        registry = MetricRegistry()
-        for node, values in ((0, (0.5, 0.7, 0.9)), (1, (0.9, 0.7, 0.5))):
-            for metric, series in (("throughput", values), ("fairness", values)):
-                s = registry.series(f"cluster.round_robin.SATORI.node{node}.{metric}")
-                for v in series:
-                    s.append(v)
-        return registry
+    def result(**kwargs):
+        return _result({0: (0.5, 0.7, 0.9), 1: (0.9, 0.7, 0.5)}, **kwargs)
 
     def test_one_block_per_cell_one_row_per_node(self):
-        out = cluster_node_dashboard(self.registry())
+        out = cluster_node_dashboard([self.result()])
         assert "[round_robin / SATORI]" in out and "(3 epochs)" in out
         lines = out.splitlines()
         assert sum(1 for line in lines if line.strip().startswith(("0 ", "1 "))) == 2
 
     def test_sparklines_share_scale_within_cell(self):
-        out = cluster_node_dashboard(self.registry())
+        out = cluster_node_dashboard([self.result()])
         # Opposite trends on a shared scale: node 0 rises, node 1 falls.
         node0 = next(l for l in out.splitlines() if l.strip().startswith("0"))
         node1 = next(l for l in out.splitlines() if l.strip().startswith("1"))
         assert "▁" in node0 and "█" in node0
         assert "▁" in node1 and "█" in node1
 
-    def test_plain_mapping_accepted(self):
-        out = cluster_node_dashboard(
-            {"cluster.rr.SATORI.node0.throughput": [1.0, 2.0]}.items()
-        )
-        assert "[rr / SATORI]" in out
+    def test_broker_joins_block_label(self):
+        out = cluster_node_dashboard([self.result(broker="harvest")])
+        assert "[round_robin / SATORI@harvest]" in out
 
-    def test_non_cluster_series_ignored(self):
-        registry = self.registry()
-        registry.series("session.some_series").append(1.0)
-        registry.counter("engine.cache_hits").inc()
-        out = cluster_node_dashboard(registry)
-        assert "session" not in out
+    def test_blocks_ordered_by_label(self):
+        out = cluster_node_dashboard([
+            self.result(placement="round_robin"),
+            self.result(placement="contention_aware"),
+            self.result(placement="round_robin", policy="EqualPartition"),
+        ])
+        labels = [l for l in out.splitlines() if l.startswith("[")]
+        assert [l.split("]")[0] for l in labels] == [
+            "[contention_aware / SATORI",
+            "[round_robin / EqualPartition",
+            "[round_robin / SATORI",
+        ]
+
+    def test_runs_sharing_a_label_keep_their_own_blocks(self):
+        # Two arms with the same placement and policy (a chaos pair)
+        # chart as two blocks, each spanning only its own epochs.
+        out = cluster_node_dashboard([self.result(), self.result()])
+        blocks = out.split("\n\n")
+        assert len(blocks) == 2
+        assert all("(3 epochs)" in block for block in blocks)
 
     def test_no_cluster_series_rejected(self):
         with pytest.raises(ExperimentError, match="no cluster"):
-            cluster_node_dashboard(MetricRegistry())
+            cluster_node_dashboard([])
+        with pytest.raises(ExperimentError, match="no cluster"):
+            cluster_node_dashboard([_result({0: ()})])
 
     def test_missing_metric_column_rendered_as_dash(self):
-        registry = MetricRegistry()
-        registry.series("cluster.rr.SATORI.node0.throughput").append(1.0)
-        registry.series("cluster.rr.SATORI.node1.throughput").append(1.0)
-        registry.series("cluster.rr.SATORI.node1.fairness").append(1.0)
-        out = cluster_node_dashboard(registry)
+        # Only node 1 hosts a qos job, so only it has an SLO column.
+        out = cluster_node_dashboard([self.result(slo={1: 0.8})])
+        assert "slo_attainment" in out
         node0 = next(l for l in out.splitlines() if l.strip().startswith("0"))
-        assert "-" in node0
+        node1 = next(l for l in out.splitlines() if l.strip().startswith("1"))
+        assert node0.endswith("-") and node1.endswith("0.80")
 
 
 class TestLineChart:

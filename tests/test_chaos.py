@@ -465,6 +465,21 @@ class TestChaosSweep:
         assert data["arms"]["no_recovery"]["jobs_lost"] > 0
         assert "chaos sweep" in report.summary()
 
+    def test_dashboard_blocks_span_one_arm_each(self, report):
+        # Both arms run least_loaded / EqualPartition. Each must chart
+        # as its own block over the trace's epochs — not one block
+        # interleaving the recovery arm's epochs with the ablation's.
+        from repro.analysis.plots import cluster_node_dashboard
+
+        out = cluster_node_dashboard([cell.result for cell in report.sweep.cells])
+        blocks = out.split("\n\n")
+        assert len(blocks) == 2
+        for block in blocks:
+            assert block.startswith("[least_loaded / EqualPartition]  (6 epochs)")
+        # The crashed node's rows are shorter: it ran no epochs while down.
+        crashed = [len(r.node_records(0)) for r in (a.result for a in report.arms)]
+        assert crashed == [4, 4]
+
     def test_needs_at_least_one_plan(self):
         with pytest.raises(ClusterError, match="at least one"):
             chaos_sweep(make_trace(3, "canneal"), n_nodes=1, fleet_plans={})

@@ -232,3 +232,58 @@ class TestTinyInvocations:
             main(["cluster", "--nodes", "2", "--epochs", "1", "--duration", "1",
                   "--units", "4", "--policies", "EqualPartition",
                   "--placements", "nope"])
+
+
+#: Common experiment options every fleet command inherits.
+_COMMON_DEFAULTS = {
+    "suite": "parsec", "mix": 0, "units": 8, "seed": 0, "workers": 1,
+    "cache_dir": "", "no_cache": False, "trace_dir": "",
+}
+
+#: Every fleet command's parsed defaults, pinned as literals so a
+#: parser refactor cannot silently move one.
+FLEET_DEFAULTS = {
+    "cluster": {
+        **_COMMON_DEFAULTS, "command": "cluster", "duration": 4.0,
+        "nodes": 4, "epochs": 4, "arrival_rate": 1.5, "residency": 3.0,
+        "placements": ["round_robin", "contention_aware"],
+        "policies": ["SATORI", "EqualPartition"], "fault_intensity": 0.0,
+        "migrate": False, "migration_penalty": 0, "warm_start": False,
+        "node_budgets": "", "qos_fraction": 0.0,
+    },
+    "broker": {
+        **_COMMON_DEFAULTS, "command": "broker", "duration": 4.0,
+        "nodes": 4, "epochs": 6, "arrival_rate": 1.5, "residency": 3.0,
+        "brokers": ["static", "harvest", "trade", "bo"],
+        "placements": ["round_robin"], "policy": "SATORI",
+        "fault_intensity": 0.0, "node_budgets": "", "slo": 0.8,
+    },
+    "chaos": {
+        **_COMMON_DEFAULTS, "command": "chaos", "duration": 3.0,
+        "nodes": 4, "epochs": 6, "arrival_rate": 1.0, "residency": 5.0,
+        "placement": "least_loaded", "policy": "SATORI", "crash_node": 0,
+        "crash_epoch": None, "outage": None, "straggler_node": None,
+        "straggler_slowdown": 2.0, "snapshot_cadence": 1, "penalty": 0,
+        "assert_recovery": False, "json": "", "qos_fraction": 0.0,
+    },
+    "qos": {
+        **_COMMON_DEFAULTS, "command": "qos", "duration": 4.0,
+        "nodes": 3, "epochs": 8, "shapes": ["flash_crowd", "diurnal"],
+        "policies": ["SATORI", "BoPF", "QoSPARTIES"], "qos_fractions": [0.25],
+        "trace_seeds": [0, 1, 2], "floor": 0.55, "window": 2,
+        "attain_target": 0.75, "placement": "slo_aware", "cold_start": False,
+        "json": "",
+    },
+    "warmstart": {
+        **_COMMON_DEFAULTS, "command": "warmstart", "duration": 8.0,
+        "mixes": 4, "nodes": 2, "epochs": 12, "json": "",
+    },
+}
+
+
+class TestFleetDefaults:
+    @pytest.mark.parametrize("command", sorted(FLEET_DEFAULTS))
+    def test_defaults_pinned(self, command):
+        parsed = vars(build_parser().parse_args([command]))
+        parsed.pop("func")
+        assert parsed == FLEET_DEFAULTS[command]

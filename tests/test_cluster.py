@@ -409,10 +409,6 @@ class TestClusterSimulator:
     def test_bad_configs_rejected(self):
         with pytest.raises(ClusterError, match="at least one node"):
             ClusterSimulator(tiny_trace(), n_nodes=0)
-        with pytest.raises(ClusterError, match="catalogs for"):
-            ClusterSimulator(
-                tiny_trace(), n_nodes=2, catalogs=[experiment_catalog(4)]
-            )
         with pytest.raises(ClusterError):
             MigrationConfig(fairness_threshold=0.0)
         with pytest.raises(ClusterError):
@@ -433,13 +429,20 @@ class TestClusterSweep:
             seed=1,
             engine=engine,
         )
-        assert sweep.placements() == ("round_robin", "least_loaded")
-        assert sweep.policies() == ("EqualPartition",)
-        cell = sweep.cell("round_robin", "EqualPartition")
+        assert sweep.axis("placement") == ("round_robin", "least_loaded")
+        assert sweep.axis("policy") == ("EqualPartition",)
+        cell = sweep.cell(placement="round_robin", policy="EqualPartition")
         assert np.isfinite(cell.result.mean_speedup)
         assert 0.0 < cell.result.fairness <= 1.0
         with pytest.raises(ClusterError, match="no cell"):
-            sweep.cell("round_robin", "SATORI")
+            sweep.cell(placement="round_robin", policy="SATORI")
+        with pytest.raises(ClusterError, match="2 cells match"):
+            sweep.cell(policy="EqualPartition")
+        # One placement delta, paired over every job of the shared trace.
+        ((base, other, delta),) = sweep.job_deltas("placement")
+        assert base.coords["placement"] == "round_robin"
+        assert other.coords["placement"] == "least_loaded"
+        assert delta.n_only_a == delta.n_only_b == 0
         # Node-epoch runs flowed through the shared engine.
         assert engine.stats.submitted > 0
 
