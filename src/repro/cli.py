@@ -30,6 +30,7 @@ the run's trace/metrics artifacts uniformly.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -138,6 +139,19 @@ def _write_json(path: Optional[str], payload: dict) -> None:
     with open(path, "w") as handle:
         handle.write(text + "\n")
     print(f"\nJSON report written to {path}")
+
+
+def _check_json_path(path: Optional[str]) -> None:
+    """Reject a ``--json`` file in a missing directory up front.
+
+    Reports are written after the whole run, so a bad path would
+    otherwise surface only once the work is done — and lose it.
+    """
+    if not path or path == "-":
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise SystemExit(f"--json {path}: directory {directory} does not exist")
 
 
 def _print_engine_stats(engine: ExecutionEngine) -> None:
@@ -1003,11 +1017,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    _check_json_path(getattr(args, "json", None))
     trace_dir = getattr(args, "trace_dir", "")
     if not trace_dir:
         return args.func(args)
-    import os
-
     from repro.obs import TraceCollector, use_collector
     from repro.obs.export import write_chrome_trace, write_jsonl, write_prometheus
 

@@ -102,8 +102,10 @@ class ServerNode:
                     f"budget can partition ({limit} jobs)"
                 )
         self._max_jobs = None if capacity is None else int(capacity)
+        # Each resident job as it arrived (base-named workload, kind)
+        # and as it runs (instance-renamed workload).
+        self._arrivals: Dict[int, JobArrival] = {}
         self._jobs: Dict[int, Workload] = {}
-        self._kinds: Dict[int, str] = {}
 
     # -- budget -----------------------------------------------------------
 
@@ -166,18 +168,12 @@ class ServerNode:
     @property
     def job_kinds(self) -> Tuple[str, ...]:
         """Resident job kinds, aligned with :attr:`job_ids`."""
-        return tuple(self._kinds.get(job_id, "batch") for job_id in self.job_ids)
-
-    def kind_of(self, job_id: int) -> str:
-        """The type label a resident job arrived with."""
-        if job_id not in self._jobs:
-            raise ClusterError(f"job {job_id} is not on node {self.node_id}")
-        return self._kinds.get(job_id, "batch")
+        return tuple(self._arrivals[job_id].kind for job_id in self.job_ids)
 
     @property
     def qos_jobs(self) -> int:
         """Resident jobs tagged latency-sensitive (``kind == "qos"``)."""
-        return sum(1 for kind in self._kinds.values() if kind == "qos")
+        return sum(1 for arrival in self._arrivals.values() if arrival.kind == "qos")
 
     def add_job(self, arrival: JobArrival) -> None:
         """Place a job instance on this node."""
@@ -187,19 +183,27 @@ class ServerNode:
             )
         if arrival.job_id in self._jobs:
             raise ClusterError(f"job {arrival.job_id} is already on node {self.node_id}")
+        self._arrivals[arrival.job_id] = arrival
         self._jobs[arrival.job_id] = dataclasses.replace(
             arrival.workload,
             name=instance_name(arrival.workload.name, arrival.job_id),
         )
-        self._kinds[arrival.job_id] = arrival.kind
 
-    def remove_job(self, job_id: int) -> None:
-        """Remove a departed (or migrating) job instance."""
+    def evict(self, job_id: int) -> JobArrival:
+        """Remove a resident job (departed, drained or migrating) and
+        return it as it arrived.
+
+        The returned arrival carries the base (pre-instance-rename)
+        workload and the job's kind, ready for another node's
+        :meth:`add_job` — which re-applies the same instance name,
+        since the job id is stable.
+        """
         try:
-            del self._jobs[job_id]
+            arrival = self._arrivals.pop(job_id)
         except KeyError:
             raise ClusterError(f"job {job_id} is not on node {self.node_id}") from None
-        self._kinds.pop(job_id, None)
+        del self._jobs[job_id]
+        return arrival
 
     def has_job(self, job_id: int) -> bool:
         return job_id in self._jobs
@@ -232,7 +236,6 @@ class ServerNode:
         run_config: RunConfig,
         seed: int,
         policy_kwargs: Optional[dict] = None,
-        goals: Tuple[str, str] = ("sum_ips", "jain"),
         fault_plan: Optional[FaultPlan] = None,
         initial_state: Optional[PolicyState] = None,
     ) -> RunSpec:
@@ -258,7 +261,6 @@ class ServerNode:
             catalog=self.effective_catalog,
             policy_kwargs=tuple(sorted((policy_kwargs or {}).items())),
             run_config=run_config,
-            goals=goals,
             seed=seed,
             fault_plan=fault_plan,
             initial_state=initial_state,

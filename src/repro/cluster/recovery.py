@@ -7,21 +7,27 @@ takes a node down:
 * resident jobs drain to a re-placement queue and are re-placed by the
   ordinary placement policy, ahead of new arrivals;
 * each simulated node's :class:`~repro.state.PolicyState` is
-  checkpointed every ``snapshot_cadence_epochs`` completed epochs, and
-  when a crashed node's whole job group reassembles on one adopting
-  node (same membership, same effective catalog) the last completed
-  checkpoint is restored there — checkpoint-lag semantics: the
-  controller resumes from the snapshot, not from the crash instant,
-  and the adopted jobs pay ``warmup_penalty_intervals`` of useful work
-  (the PR 4 migration cost model) for the transfer;
+  checkpointed every ``snapshot_cadence_epochs`` completed epochs,
+  labelled with the epoch, job group and effective catalog it was
+  learned under; when a crashed node's whole job group reassembles on
+  one adopting node under that catalog, the checkpoint is restored
+  there — checkpoint-lag semantics: the controller resumes from the
+  snapshot, not from the crash instant, and the adopted jobs pay
+  ``warmup_penalty_intervals`` of useful work (the migration cost
+  model) for the transfer;
 * a circuit breaker quarantines a node after ``failure_threshold``
   consecutive failed node-epochs (engine failures or stragglers past
   ``straggler_deadline_factor``), draining it like a crash for
   ``quarantine_epochs`` before it may rejoin.
 
 :class:`FleetEvent` is the audit-trail record every disruption and
-recovery action appends; chaos experiments reconstruct jobs-lost,
-re-placement latency, and fairness-recovery intervals from it.
+recovery action appends, and the trail is the only tally of them:
+:class:`~repro.cluster.simulator.ClusterResult` derives ``jobs_lost``,
+``replacements``, ``resurrections``, ``node_downs`` (crashes plus
+quarantines), ``node_rejoins``, ``quarantines`` and
+``node_epoch_failures`` by counting its events. Chaos experiments
+reconstruct disruption epochs, re-placement latency and
+fairness-recovery intervals from the same trail.
 """
 
 from __future__ import annotations

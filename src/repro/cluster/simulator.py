@@ -69,12 +69,17 @@ paired. DESIGN.md discusses this.)
 Controller state is epoch-scoped by default: each node's policy
 instance is reconstructed per spec inside the engine worker, so a
 node's controller re-learns after every membership change. With
-``warm_start=True`` a node whose job membership did *not* change
-across the epoch boundary gets its previous epoch's policy snapshot
+``warm_start=True`` a node whose job membership and effective catalog
+match its last simulated epoch's snapshot gets that snapshot
 re-injected (via the spec's ``initial_state`` field, which is part of
 the content address — warm node-epochs never collide with cold ones
-in the run cache); membership changes still cold-start, because a
-controller's model of the departed mix is stale by construction.
+in the run cache); the snapshot carries the membership it was learned
+under, so a different mix still cold-starts, because a controller's
+model of another mix is stale by construction.
+
+Disruption and recovery counts live only in the audit trail of
+:class:`~repro.cluster.recovery.FleetEvent` records;
+:class:`ClusterResult` derives ``jobs_lost``, ``replacements``, ... from it.
 """
 
 from __future__ import annotations
@@ -241,24 +246,50 @@ class ClusterResult:
     migrations: int = 0
     broker: str = "none"
     budget_transfers: int = 0
-    #: Jobs dropped by fleet disruption: drained with recovery disabled,
-    #: or displaced past ``max_queue_epochs``. Distinct from
-    #: ``rejected_jobs`` (admission control), which never entered.
-    jobs_lost: Tuple[int, ...] = ()
-    replacements: int = 0
-    resurrections: int = 0
-    node_downs: int = 0
-    node_rejoins: int = 0
-    quarantines: int = 0
-    node_epoch_failures: int = 0
     #: Total epochs displaced jobs spent waiting in the re-placement
     #: queue (0 when every drained job was re-placed the same epoch).
     displaced_job_epochs: int = 0
+    #: The fleet audit trail; every recovery count below derives from it.
     fleet_events: Tuple[FleetEvent, ...] = ()
     #: Aggregate SLO outcome when the run enforced one (``qos_slo``
     #: passed to the simulator and the trace carried qos jobs);
     #: ``None`` otherwise — existing runs are untouched.
     slo: Optional[SLOSummary] = None
+
+    def _count(self, *kinds: str) -> int:
+        return sum(1 for event in self.fleet_events if event.kind in kinds)
+
+    @property
+    def jobs_lost(self) -> Tuple[int, ...]:
+        """Jobs dropped by fleet disruption: drained with recovery
+        disabled, or displaced past ``max_queue_epochs``. Distinct from
+        ``rejected_jobs`` (admission control), which never entered."""
+        return tuple(e.job_id for e in self.fleet_events if e.kind == EVT_JOB_LOST)
+
+    @property
+    def replacements(self) -> int:
+        return self._count(EVT_JOB_REPLACED)
+
+    @property
+    def resurrections(self) -> int:
+        return self._count(EVT_SESSION_RESURRECTED)
+
+    @property
+    def node_downs(self) -> int:
+        """Nodes drained, by fleet weather or by quarantine."""
+        return self._count(EVT_NODE_DOWN, EVT_NODE_QUARANTINED)
+
+    @property
+    def node_rejoins(self) -> int:
+        return self._count(EVT_NODE_REJOINED)
+
+    @property
+    def quarantines(self) -> int:
+        return self._count(EVT_NODE_QUARANTINED)
+
+    @property
+    def node_epoch_failures(self) -> int:
+        return self._count(EVT_NODE_EPOCH_FAILED)
 
     def epoch_fairness(self) -> Dict[int, float]:
         """Per-epoch Jain index over every resident job's speedup.
@@ -406,12 +437,31 @@ class _Displaced:
 
 @dataclass(frozen=True)
 class _Checkpoint:
-    """One node's last completed-epoch policy snapshot."""
+    """A policy snapshot with the epoch, job group and effective
+    catalog it was learned under — it resumes only under the same."""
 
     epoch: int
     membership: Tuple[int, ...]
-    catalog: ResourceCatalog  # effective catalog the state was learned under
+    catalog: ResourceCatalog
     state: PolicyState
+
+    def fits(self, node: ServerNode) -> bool:
+        return (
+            node.job_ids == self.membership
+            and node.effective_catalog == self.catalog
+        )
+
+
+#: Obs counter each fleet-event kind increments.
+_EVENT_COUNTERS = {
+    EVT_JOB_LOST: "cluster.jobs_lost",
+    EVT_JOB_REPLACED: "cluster.replacements",
+    EVT_NODE_DOWN: "cluster.node_downs",
+    EVT_NODE_QUARANTINED: "cluster.node_quarantineds",
+    EVT_NODE_REJOINED: "cluster.node_rejoins",
+    EVT_NODE_EPOCH_FAILED: "cluster.node_epoch_failures",
+    EVT_SESSION_RESURRECTED: "cluster.resurrections",
+}
 
 
 #: Monitoring-fault rates a flaky-telemetry node injects at intensity 1.
@@ -496,12 +546,13 @@ class ClusterSimulator:
             broker's.
         engine: execution engine for node-epoch batches; defaults to a
             fresh serial engine.
-        warm_start: re-inject each node's prior-epoch policy snapshot
-            whenever its job membership did not change across the
-            epoch boundary, so membership-stable controllers keep
-            their learned state instead of re-learning from scratch.
-            Membership *changes* still cold-start (the controller's
-            model of the old mix is stale by construction). Off by
+        warm_start: re-inject each node's last policy snapshot
+            whenever its job membership and effective catalog match
+            the ones the snapshot was learned under, so
+            membership-stable controllers keep their learned state
+            instead of re-learning from scratch. Any other mix
+            cold-starts (the controller's model of it is stale by
+            construction). Off by
             default: warm-started node-epoch specs carry the previous
             epoch's state in their content address, which chains
             digests across epochs and reduces cache sharing between
@@ -623,32 +674,24 @@ class ClusterSimulator:
         # information set) and consecutive-unfair counters for migration.
         self._observed: Dict[int, Tuple[float, float]] = {}
         self._unfair_streak: Dict[int, int] = {node.node_id: 0 for node in self._nodes}
-        # Warm-start bookkeeping: each node's previous-epoch membership,
-        # final policy snapshot with the budget it ran under, and the
-        # jobs that migrated in at the current epoch boundary (warm-up
-        # penalty targets).
-        self._prev_membership: Dict[int, Tuple[int, ...]] = {}
-        self._node_states: Dict[int, Tuple[PolicyState, ResourceBudget]] = {}
+        # Warm-start bookkeeping: each node's last simulated epoch's
+        # final policy snapshot, and the jobs that migrated in at the
+        # current epoch boundary (warm-up penalty targets).
+        self._node_states: Dict[int, _Checkpoint] = {}
         self._migrated_in: Dict[int, set] = {}
         # Fleet fault-tolerance state: which nodes are down (and until
         # when), their parked budgets, the re-placement queue, policy
-        # checkpoints awaiting resurrection, and the audit trail.
+        # checkpoints awaiting resurrection, and the audit trail (the
+        # one record of every disruption and recovery count).
         self._down_until: Dict[int, Optional[int]] = {}
         self._parked: Dict[int, ResourceBudget] = {}
         self._queue: List[_Displaced] = []
-        self._lost: List[int] = []
         self._checkpoints: Dict[int, _Checkpoint] = {}
         self._adoptable: List[_Checkpoint] = []
         self._pending_restore: Dict[int, PolicyState] = {}
         self._replaced_in: Dict[int, set] = {}
         self._fail_streak: Dict[int, int] = {node.node_id: 0 for node in self._nodes}
         self._fleet_events: List[FleetEvent] = []
-        self._node_downs = 0
-        self._node_rejoins = 0
-        self._replacements = 0
-        self._resurrections = 0
-        self._quarantines = 0
-        self._node_epoch_failures = 0
         self._displaced_epochs = 0
         # Incremental stepping state: :meth:`run` is a loop over
         # :meth:`step_epoch`, and external callers may interleave
@@ -700,6 +743,10 @@ class ClusterSimulator:
 
     # -- views ------------------------------------------------------------
 
+    def _live_nodes(self) -> List[ServerNode]:
+        """Nodes in service (not crashed, blacked out or quarantined)."""
+        return [node for node in self._nodes if node.node_id not in self._down_until]
+
     def _views(self, exclude: Optional[int] = None) -> List[NodeView]:
         """Current node views (previous-epoch telemetry), in id order.
 
@@ -708,11 +755,12 @@ class ClusterSimulator:
         as full too, so no placement policy can route onto them while
         keeping every policy's view indexing stable.
         """
+        live = self._live_nodes()
         views = []
         for node in self._nodes:
             mean_speedup, fairness = self._observed.get(node.node_id, (1.0, 1.0))
             n_jobs = node.n_jobs
-            if node.node_id == exclude or node.node_id in self._down_until:
+            if node.node_id == exclude or node not in live:
                 n_jobs = node.capacity
             views.append(
                 NodeView(
@@ -782,7 +830,7 @@ class ClusterSimulator:
             departing.add(arrival.job_id)
             for node in self._nodes:
                 if node.has_job(arrival.job_id):
-                    node.remove_job(arrival.job_id)
+                    node.evict(arrival.job_id)
                     break
         if departing and self._queue:
             # A displaced job whose residency ends departs from the
@@ -797,8 +845,12 @@ class ClusterSimulator:
 
     # -- fleet weather and recovery ---------------------------------------
 
-    def _fleet_event(self, event: FleetEvent) -> None:
+    def _record(self, event: FleetEvent, **obs_fields) -> None:
+        """Append to the audit trail; emit the obs event and counter."""
         self._fleet_events.append(event)
+        obs = active_collector()
+        obs.event(event.kind, "cluster", **obs_fields)
+        obs.metrics.counter(_EVENT_COUNTERS[event.kind]).inc()
 
     def _apply_fleet_weather(self, epoch: int) -> None:
         """Start of epoch: process rejoins, then new down windows.
@@ -811,13 +863,11 @@ class ClusterSimulator:
             rejoin = self._down_until[node_id]
             if rejoin is not None and epoch >= rejoin:
                 self._rejoin(epoch, node_id)
-        for node_id in sorted(self._fleet_schedules):
-            if node_id in self._down_until:
-                continue
-            schedule = self._fleet_schedules[node_id]
-            if schedule.down_at(epoch):
+        for node in self._live_nodes():
+            schedule = self._fleet_schedules.get(node.node_id)
+            if schedule is not None and schedule.down_at(epoch):
                 self._take_down(
-                    epoch, node_id, until=schedule.down_end(epoch), cause="fault"
+                    epoch, node.node_id, until=schedule.down_end(epoch), cause="fault"
                 )
 
     def _take_down(
@@ -833,80 +883,56 @@ class ClusterSimulator:
         epoch, so crash/rejoin cycles are conservation-neutral by
         construction.
         """
-        obs = active_collector()
         node = self._nodes[node_id]
         self._down_until[node_id] = until
         self._parked[node_id] = node.budget
-        self._node_downs += 1
         checkpoint = self._checkpoints.pop(node_id, None)
         if self._recovery is not None and checkpoint is not None:
             self._adoptable.append(checkpoint)
         drained = node.job_ids
         for job_id in drained:
-            workload = node.workload_of(job_id)
-            job_kind = node.kind_of(job_id)
-            node.remove_job(job_id)
-            # Strip the instance rename; the adopting node re-applies
-            # it. The kind travels too — a qos job drained by a crash
-            # must still be a qos job after recovery re-placement
-            # (the migration path already preserved it).
-            base_name = workload.name.rsplit("#", 1)[0]
-            arrival = JobArrival(
-                job_id=job_id,
-                workload=dataclasses.replace(workload, name=base_name),
-                arrival_epoch=0,
-                kind=job_kind,
-            )
+            # The evicted arrival keeps the job's kind: a qos job
+            # drained by a crash is still a qos job after re-placement.
+            arrival = node.evict(job_id)
             if self._recovery is None:
-                self._lost.append(job_id)
-                obs.event("job_lost", "cluster", job_id=job_id, node=node_id, epoch=epoch)
-                obs.metrics.counter("cluster.jobs_lost").inc()
-                self._fleet_event(
-                    FleetEvent(epoch, EVT_JOB_LOST, node_id, job_id, detail=cause)
+                self._record(
+                    FleetEvent(epoch, EVT_JOB_LOST, node_id, job_id, detail=cause),
+                    job_id=job_id, node=node_id, epoch=epoch,
                 )
             else:
                 self._queue.append(_Displaced(arrival, node_id, epoch))
-        kind = "node_quarantined" if cause == "quarantine" else "node_down"
-        obs.event(
-            kind, "cluster",
-            node=node_id, epoch=epoch, until=until, jobs=len(drained), cause=cause,
-        )
-        obs.metrics.counter(f"cluster.{kind}s").inc()
-        self._fleet_event(
+        self._record(
             FleetEvent(
                 epoch,
                 EVT_NODE_QUARANTINED if cause == "quarantine" else EVT_NODE_DOWN,
                 node_id,
                 detail=f"until={until} jobs={len(drained)} cause={cause}",
-            )
+            ),
+            node=node_id, epoch=epoch, until=until, jobs=len(drained), cause=cause,
         )
         # The node's telemetry, learned state, and failure streak died
         # with it.
         self._observed.pop(node_id, None)
         self._node_states.pop(node_id, None)
-        self._prev_membership.pop(node_id, None)
         self._pending_restore.pop(node_id, None)
         self._unfair_streak[node_id] = 0
         self._fail_streak[node_id] = 0
 
     def _rejoin(self, epoch: int, node_id: int) -> None:
         """Return a down node to service with its parked budget."""
-        obs = active_collector()
         del self._down_until[node_id]
         budget = self._parked.pop(node_id)
         node = self._nodes[node_id]
         if node.budget != budget:
             node.set_budget(budget)
-        self._node_rejoins += 1
-        obs.event("node_rejoined", "cluster", node=node_id, epoch=epoch)
-        obs.metrics.counter("cluster.node_rejoins").inc()
-        self._fleet_event(FleetEvent(epoch, EVT_NODE_REJOINED, node_id))
+        self._record(
+            FleetEvent(epoch, EVT_NODE_REJOINED, node_id), node=node_id, epoch=epoch
+        )
 
     def _replace_queued(self, epoch: int) -> None:
         """Re-place displaced jobs ahead of this epoch's arrivals."""
         if not self._queue:
             return
-        obs = active_collector()
         still: List[_Displaced] = []
         for item in self._queue:
             job_id = item.arrival.job_id
@@ -921,41 +947,31 @@ class ClusterSimulator:
                     and self._recovery.max_queue_epochs is not None
                     and waited >= self._recovery.max_queue_epochs
                 ):
-                    self._lost.append(job_id)
                     self._displaced_epochs += waited
-                    obs.event(
-                        "job_lost", "cluster",
-                        job_id=job_id, node=item.source, epoch=epoch,
-                    )
-                    obs.metrics.counter("cluster.jobs_lost").inc()
-                    self._fleet_event(
+                    self._record(
                         FleetEvent(
                             epoch, EVT_JOB_LOST, item.source, job_id,
                             detail=f"queued {waited} epoch(s), gave up",
-                        )
+                        ),
+                        job_id=job_id, node=item.source, epoch=epoch,
                     )
                 else:
                     still.append(item)
                 continue
             self._nodes[target].add_job(item.arrival)
-            self._replacements += 1
             self._displaced_epochs += waited
             self._replaced_in.setdefault(target, set()).add(job_id)
-            obs.event(
-                "job_replaced", "cluster",
-                job_id=job_id, source=item.source, target=target,
-                epoch=epoch, waited=waited,
-            )
-            obs.metrics.counter("cluster.replacements").inc()
-            self._fleet_event(
+            self._record(
                 FleetEvent(
                     epoch, EVT_JOB_REPLACED, item.source, job_id,
                     detail=f"target={target} waited={waited}",
-                )
+                ),
+                job_id=job_id, source=item.source, target=target,
+                epoch=epoch, waited=waited,
             )
         self._queue = still
 
-    def _match_resurrections(self, epoch: int) -> None:
+    def _resurrect_reassembled(self, epoch: int) -> None:
         """Restore crashed controllers whose job group reassembled.
 
         Runs after re-placement *and* arrivals, when epoch membership
@@ -970,32 +986,21 @@ class ClusterSimulator:
         """
         if not self._adoptable:
             return
-        obs = active_collector()
+        live = self._live_nodes()
         for checkpoint in list(self._adoptable):
-            for node in self._nodes:
-                if node.node_id in self._down_until:
-                    continue
-                if node.node_id in self._pending_restore:
-                    continue
-                if node.job_ids != checkpoint.membership:
-                    continue
-                if node.effective_catalog != checkpoint.catalog:
+            for node in live:
+                if node.node_id in self._pending_restore or not checkpoint.fits(node):
                     continue
                 self._pending_restore[node.node_id] = checkpoint.state
                 self._adoptable.remove(checkpoint)
-                self._resurrections += 1
-                obs.event(
-                    "session_resurrected", "cluster",
-                    node=node.node_id, epoch=epoch,
-                    snapshot_epoch=checkpoint.epoch,
-                    lag_epochs=epoch - checkpoint.epoch,
-                )
-                obs.metrics.counter("cluster.resurrections").inc()
-                self._fleet_event(
+                self._record(
                     FleetEvent(
                         epoch, EVT_SESSION_RESURRECTED, node.node_id,
                         detail=f"snapshot_epoch={checkpoint.epoch}",
-                    )
+                    ),
+                    node=node.node_id, epoch=epoch,
+                    snapshot_epoch=checkpoint.epoch,
+                    lag_epochs=epoch - checkpoint.epoch,
                 )
                 break
 
@@ -1003,12 +1008,9 @@ class ClusterSimulator:
         """Circuit breaker: drain nodes with too many consecutive failures."""
         if self._recovery is None:
             return
-        for node in self._nodes:
-            if node.node_id in self._down_until:
-                continue
+        for node in self._live_nodes():
             if self._fail_streak[node.node_id] < self._recovery.failure_threshold:
                 continue
-            self._quarantines += 1
             self._take_down(
                 epoch,
                 node.node_id,
@@ -1018,11 +1020,7 @@ class ClusterSimulator:
 
     def _audit_pool(self, epoch: int) -> None:
         """Assert bit-exact budget conservation: live + parked == pool."""
-        totals = pool_totals(
-            node.budget
-            for node in self._nodes
-            if node.node_id not in self._down_until
-        )
+        totals = pool_totals(node.budget for node in self._live_nodes())
         for budget in self._parked.values():
             for name in budget.names:
                 totals[name] = totals.get(name, 0) + budget.get(name)
@@ -1060,26 +1058,12 @@ class ClusterSimulator:
                 continue  # nowhere to go; stay put
             if target == node.node_id or not self._nodes[target].has_capacity:
                 continue
-            workload = node.workload_of(victim)
-            kind = node.kind_of(victim)
             active_collector().event(
                 "migration", "cluster",
                 job_id=victim, source=node.node_id, target=target,
             )
             active_collector().metrics.counter("cluster.migrations").inc()
-            node.remove_job(victim)
-            # Re-add under the original (pre-instance-rename) name; the
-            # destination node re-renames it identically since the job
-            # id is stable.
-            base_name = workload.name.rsplit("#", 1)[0]
-            self._nodes[target].add_job(
-                JobArrival(
-                    job_id=victim,
-                    workload=dataclasses.replace(workload, name=base_name),
-                    arrival_epoch=0,
-                    kind=kind,
-                )
-            )
+            self._nodes[target].add_job(node.evict(victim))
             self._migrated_in.setdefault(target, set()).add(victim)
             self._unfair_streak[node.node_id] = 0
             moved += 1
@@ -1110,7 +1094,7 @@ class ClusterSimulator:
         obs = active_collector()
         # Membership is final for this epoch — now crashed controllers
         # whose job groups reassembled can be matched for resurrection.
-        self._match_resurrections(epoch)
+        self._resurrect_reassembled(epoch)
         config = dataclasses.replace(
             self._epoch_config,
             phase_offset_s=epoch * self._epoch_config.duration_s,
@@ -1123,15 +1107,10 @@ class ClusterSimulator:
 
         def _failed_record(node: ServerNode, slowdown: float, why: str) -> None:
             self._fail_streak[node.node_id] += 1
-            self._node_epoch_failures += 1
-            obs.event(
-                "node_epoch_failed", "cluster",
+            self._record(
+                FleetEvent(epoch, EVT_NODE_EPOCH_FAILED, node.node_id, detail=why),
                 node=node.node_id, epoch=epoch,
                 streak=self._fail_streak[node.node_id], why=why,
-            )
-            obs.metrics.counter("cluster.node_epoch_failures").inc()
-            self._fleet_event(
-                FleetEvent(epoch, EVT_NODE_EPOCH_FAILED, node.node_id, detail=why)
             )
             records.append(
                 NodeEpochRecord(
@@ -1151,9 +1130,8 @@ class ClusterSimulator:
                 )
             )
 
-        for node in self._nodes:
-            if node.node_id in self._down_until:
-                continue
+        live = self._live_nodes()
+        for node in live:
             schedule = self._fleet_schedules.get(node.node_id)
             slowdown = schedule.slowdown_at(epoch) if schedule else 1.0
             flaky = schedule.flaky_at(epoch) if schedule else 0.0
@@ -1172,23 +1150,21 @@ class ClusterSimulator:
                     f"straggler slowdown {slowdown:.2f}x missed deadline",
                 )
                 continue
-            if initial_state is None and (
-                self._warm_start
-                and self._prev_membership.get(node.node_id) == node.job_ids
+            held = self._node_states.get(node.node_id)
+            if (
+                initial_state is None
+                and self._warm_start
+                and held is not None
+                and held.fits(node)
             ):
-                # Membership unchanged across the epoch boundary: the
-                # controller's learned model still describes this mix,
-                # so hand the prior epoch's snapshot back to it — unless
-                # the broker moved the node's budget, which changes the
-                # optimizer's search space under the snapshot.
-                held = self._node_states.get(node.node_id)
-                if held is not None and held[1] == node.budget:
-                    initial_state = held[0]
-                    warm_nodes.add(node.node_id)
-                    obs.event(
-                        "warm_start", "cluster", node=node.node_id, epoch=epoch
-                    )
-                    obs.metrics.counter("cluster.warm_starts").inc()
+                # The snapshot resumes only where the controller's
+                # learned model still describes the node: the same job
+                # membership and the same effective catalog (a broker
+                # budget move changes the optimizer's search space).
+                initial_state = held.state
+                warm_nodes.add(node.node_id)
+                obs.event("warm_start", "cluster", node=node.node_id, epoch=epoch)
+                obs.metrics.counter("cluster.warm_starts").inc()
             fault_plan = self._fault_plans.get(node.node_id)
             if flaky > 0.0:
                 fault_plan = _flaky_overlay(fault_plan, flaky)
@@ -1285,14 +1261,14 @@ class ClusterSimulator:
                 )
             )
             if result.final_state is not None:
-                self._node_states[node.node_id] = (result.final_state, node.budget)
+                self._node_states[node.node_id] = _Checkpoint(
+                    epoch, node.job_ids, node.effective_catalog, result.final_state
+                )
             else:
                 self._node_states.pop(node.node_id, None)
         failed = {record.node_id for record in records if record.failed}
-        for node in self._nodes:
+        for node in live:
             if node.node_id in simulated or node.node_id in failed:
-                continue
-            if node.node_id in self._down_until:
                 continue
             # 0/1-job nodes: an uncontended job retains its isolation
             # performance by construction — nothing to simulate. No
@@ -1318,32 +1294,20 @@ class ClusterSimulator:
                     ),
                 )
             )
-        for node in self._nodes:
-            if node.node_id in self._down_until:
-                continue
-            self._prev_membership[node.node_id] = node.job_ids
         self._migrated_in.clear()
         self._replaced_in.clear()
         if (
             self._recovery is not None
             and (epoch + 1) % self._recovery.snapshot_cadence_epochs == 0
         ):
-            # Checkpoint cadence: snapshot every live controller's
-            # state as of this completed epoch. A crash before the
-            # next checkpoint resurrects from *this* one (checkpoint
-            # lag).
-            for node in self._nodes:
-                if node.node_id in self._down_until:
-                    continue
+            # Checkpoint cadence: keep every live controller's latest
+            # snapshot, labelled with the epoch and job group it was
+            # learned under. A crash before the next checkpoint
+            # resurrects from *this* one (checkpoint lag).
+            for node in live:
                 held = self._node_states.get(node.node_id)
-                if held is None:
-                    continue
-                self._checkpoints[node.node_id] = _Checkpoint(
-                    epoch=epoch,
-                    membership=node.job_ids,
-                    catalog=node.effective_catalog,
-                    state=held[0],
-                )
+                if held is not None:
+                    self._checkpoints[node.node_id] = held
         if self._slo_tracker is not None:
             # Displaced qos jobs still waiting in the re-placement
             # queue received no service this epoch: that outage is part
@@ -1365,9 +1329,7 @@ class ClusterSimulator:
             return
         from repro.broker import BrokerView  # lazy: see __init__
 
-        live = [
-            node for node in self._nodes if node.node_id not in self._down_until
-        ]
+        live = self._live_nodes()
         if not live:
             return
         obs = active_collector()
@@ -1412,9 +1374,7 @@ class ClusterSimulator:
                 resident jobs). Broker bugs fail loudly — a silent leak
                 of capacity would invalidate every downstream metric.
         """
-        live = [
-            node for node in self._nodes if node.node_id not in self._down_until
-        ]
+        live = self._live_nodes()
         missing = {node.node_id for node in live} - set(decision)
         if missing:
             raise ClusterError(
@@ -1536,13 +1496,6 @@ class ClusterSimulator:
             migrations=self._migrations,
             broker=self._broker.name if self._broker is not None else "none",
             budget_transfers=self._budget_transfers,
-            jobs_lost=tuple(self._lost),
-            replacements=self._replacements,
-            resurrections=self._resurrections,
-            node_downs=self._node_downs,
-            node_rejoins=self._node_rejoins,
-            quarantines=self._quarantines,
-            node_epoch_failures=self._node_epoch_failures,
             displaced_job_epochs=self._displaced_epochs,
             fleet_events=tuple(self._fleet_events),
             slo=(

@@ -483,3 +483,62 @@ class TestChaosSweep:
     def test_needs_at_least_one_plan(self):
         with pytest.raises(ClusterError, match="at least one"):
             chaos_sweep(make_trace(3, "canneal"), n_nodes=1, fleet_plans={})
+
+
+class TestChaosSmokeCounts:
+    """The CI chaos smoke's recovery counts, pinned as literals.
+
+    2 nodes, 4 one-second epochs, ``EqualPartition`` on the ``ecp``
+    default trace, node 0 down at epoch 1 for 2 epochs — the scenario
+    ``python -m repro chaos ... --assert-recovery`` runs in CI. Every
+    count ``ChaosArm.to_dict()`` reports is derived from the fleet
+    audit trail; these literals hold it to the simulator's behaviour.
+    """
+
+    COUNTS = (
+        "jobs_lost", "lost_job_ids", "replacements", "resurrections",
+        "node_downs", "node_rejoins", "quarantines", "node_epoch_failures",
+        "replacement_latency_epochs", "recovery_intervals", "pool_conserved",
+    )
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        from repro.experiments.cluster import default_trace
+
+        catalog = experiment_catalog(4)
+        trace = default_trace(
+            n_epochs=4, n_nodes=2, arrival_rate=1.0, mean_residency=5.0,
+            suite="ecp", seed=0, catalog=catalog,
+        )
+        return chaos_sweep(
+            trace, n_nodes=2,
+            fleet_plans=chaos_fleet_plans(
+                2, 4, crash_node=0, crash_epoch=1, outage_epochs=2
+            ),
+            placement="least_loaded", policy="EqualPartition",
+            catalog=catalog, epoch_config=RunConfig(duration_s=1.0), seed=0,
+        )
+
+    def counts(self, arm):
+        data = arm.to_dict()
+        return {key: data[key] for key in self.COUNTS}
+
+    def test_recovery_arm(self, report):
+        assert self.counts(report.recovery) == {
+            "jobs_lost": 0, "lost_job_ids": [], "replacements": 1,
+            "resurrections": 0, "node_downs": 1, "node_rejoins": 1,
+            "quarantines": 0, "node_epoch_failures": 0,
+            "replacement_latency_epochs": 0.0, "recovery_intervals": {"1": 0},
+            "pool_conserved": True,
+        }
+        assert report.recovery.result.displaced_job_epochs == 0
+
+    def test_ablation_arm(self, report):
+        assert self.counts(report.ablation) == {
+            "jobs_lost": 1, "lost_job_ids": [0], "replacements": 0,
+            "resurrections": 0, "node_downs": 1, "node_rejoins": 1,
+            "quarantines": 0, "node_epoch_failures": 0,
+            "replacement_latency_epochs": 0.0,
+            "recovery_intervals": {"1": None}, "pool_conserved": True,
+        }
+        assert report.ablation.result.displaced_job_epochs == 0

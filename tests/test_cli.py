@@ -281,6 +281,21 @@ FLEET_DEFAULTS = {
 }
 
 
+class TestJsonPathCheckedFirst:
+    @pytest.mark.parametrize("command", ["chaos", "qos", "warmstart", "obs", "loadgen"])
+    def test_missing_directory_fails_before_the_run(self, command, tmp_path, monkeypatch):
+        import repro.cli as cli
+
+        def must_not_run(args):
+            raise AssertionError(f"{command} ran despite an unwritable --json path")
+
+        monkeypatch.setattr(cli, f"cmd_{command}", must_not_run)
+        path = tmp_path / "missing" / "report.json"
+        with pytest.raises(SystemExit, match="does not exist"):
+            main(TINY_INVOCATIONS[command] + ["--json", str(path)])
+        assert not path.parent.exists()
+
+
 class TestFleetDefaults:
     @pytest.mark.parametrize("command", sorted(FLEET_DEFAULTS))
     def test_defaults_pinned(self, command):

@@ -235,13 +235,15 @@ class TestServerNode:
 
     def test_add_remove_and_instance_names(self, catalog4, registry):
         node = ServerNode(0, catalog4, capacity=3)
-        node.add_job(JobArrival(7, registry.get("canneal"), 0))
+        arrival = JobArrival(7, registry.get("canneal"), 0, kind="qos")
+        node.add_job(arrival)
         assert node.has_job(7)
         assert node.workload_of(7).name == instance_name("canneal", 7) == "canneal#7"
-        node.remove_job(7)
+        # Eviction hands back the base-named workload and the kind.
+        assert node.evict(7) == arrival
         assert not node.has_job(7)
         with pytest.raises(ClusterError):
-            node.remove_job(7)
+            node.evict(7)
 
     def test_duplicate_copies_of_a_benchmark_coexist(self, catalog4, registry):
         node = ServerNode(0, catalog4, capacity=3)

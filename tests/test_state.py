@@ -18,6 +18,7 @@ from repro.cluster import ClusterSimulator, MigrationConfig, RecoveryConfig
 from repro.engine import ExecutionEngine, RunCache, RunSpec, execute_run
 from repro.errors import ClusterError, PolicyError
 from repro.experiments.runner import RunConfig, experiment_catalog
+from repro.faults import NodeFaultPlan
 from repro.policies.random_search import RandomSearchPolicy
 from repro.policies.registry import make_policy
 from repro.resources.space import ConfigurationSpace
@@ -385,6 +386,44 @@ class TestWarmStartUnderBroker:
             assert [batch[node_id] for batch in traded_batches] == [
                 batch[node_id] for batch in fixed_batches
             ]
+
+
+class TestWarmStartAfterFailedEpoch:
+    """A snapshot resumes only under the membership it was learned on.
+
+    One node runs ``canneal`` + ``vips`` at epoch 0; ``swaptions``
+    arrives at epoch 1, when a straggler past the recovery deadline
+    fails the node-epoch. The epoch-0 snapshot (two jobs) survives the
+    failed epoch, but epoch 2's three-job mix must not resume it.
+    """
+
+    def run(self):
+        registry = default_registry()
+        trace = ArrivalTrace(n_epochs=3, jobs=(
+            JobArrival(0, registry.get("canneal"), 0),
+            JobArrival(1, registry.get("vips"), 0),
+            JobArrival(2, registry.get("swaptions"), 1),
+        ))
+        return ClusterSimulator(
+            trace,
+            n_nodes=1,
+            catalog=experiment_catalog(8),
+            epoch_config=RunConfig(duration_s=1.0),
+            warm_start=True,
+            recovery=RecoveryConfig(),
+            fleet_plans={0: NodeFaultPlan(
+                straggler_rate=0.99, straggler_epochs=1, straggler_slowdown=4.0,
+                start_epoch=1, end_epoch=2,
+            )},
+        ).run()
+
+    def test_stale_snapshot_not_restored(self):
+        result = self.run()
+        records = result.node_records(0)
+        assert [r.job_ids for r in records] == [(0, 1), (0, 1, 2), (0, 1, 2)]
+        assert [r.failed for r in records] == [False, True, False]
+        assert not records[2].warm_started
+        assert result.node_epoch_failures == 1
 
 
 class TestMigrationPenalty:
